@@ -20,15 +20,17 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .entropy import entropy_augmentation, entropy_report
 from .enumeration import stream_graph6
 from .graphs import (
     Graph,
     Graph6Error,
+    add_edges,
     complete,
     complete_bipartite,
     parse_graph6,
@@ -97,10 +99,11 @@ def _family_graph(family: str, spec: str) -> Graph:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GEL_THREADS")
-    return max(1, int(env)) if env else 1
+    """Worker count from --threads or GEL_THREADS, clamped to 1..cpu_count."""
+    wanted = getattr(args, "threads", None)
+    if wanted is None:
+        wanted = int(os.environ.get("GEL_THREADS") or 1)
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 # --- entropy ---------------------------------------------------------------
@@ -188,67 +191,40 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # --- verify ----------------------------------------------------------------
 
 
+def _alpha(args: argparse.Namespace) -> float:
+    if not args.alpha:
+        raise ValueError(f"{args.claim} needs --alpha")
+    return float(args.alpha[0])
+
+
+def _coentropy_stats(args: argparse.Namespace, n: int, workers: int) -> dict:
+    groups = coentropy_search(n, workers=workers)
+    return {"group_count": len(groups), "groups": [asdict(grp) for grp in groups]}
+
+
+# claim -> runner(args, n, workers). A runner returns a VerificationResult,
+# or, for the two searches that give no verdict, the stats of a claim that holds
+CLAIMS: dict[str, Callable[[argparse.Namespace, int, int], VerificationResult | dict]] = {
+    "star-min-S": lambda a, n, w: verify_star_min_von_neumann(n, a.witness_cap, w),
+    "tree-extremes": lambda a, n, w: verify_tree_extremes(n, a.entropy, a.witness_cap),
+    "renyi-star-min": lambda a, n, w: verify_renyi_star_min(n, _alpha(a), a.witness_cap, w),
+    "renyi-max": lambda a, n, w: verify_renyi_max(n, _alpha(a), a.witness_cap, w),
+    "edge-add-decrease": lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w),
+    "coentropy": _coentropy_stats,
+    "param-compare": lambda a, n, w: _round12(asdict(param_comparability(n, a.param, workers=w))),
+    "density-implies-star": lambda a, n, w: verify_density_implies_star(n, w),
+}
+
+
 def _run_claim(args: argparse.Namespace) -> VerificationResult:
-    workers = _threads(args)
-    cap = args.witness_cap
+    """Run one claim; a search without a verdict is timed here."""
     n = int(args.n)
-    claim = args.claim
-    if claim == "star-min-S":
-        return verify_star_min_von_neumann(n, witness_cap=cap, workers=workers)
-    if claim == "tree-extremes":
-        return verify_tree_extremes(n, entropy=args.entropy, witness_cap=cap)
-    if claim == "renyi-star-min":
-        if not args.alpha:
-            raise ValueError("renyi-star-min needs --alpha")
-        return verify_renyi_star_min(n, float(args.alpha[0]), witness_cap=cap, workers=workers)
-    if claim == "renyi-max":
-        if not args.alpha:
-            raise ValueError("renyi-max needs --alpha")
-        return verify_renyi_max(n, float(args.alpha[0]), witness_cap=cap, workers=workers)
-    if claim == "edge-add-decrease":
-        return edge_add_decrease_search(n, witness_cap=cap, workers=workers)
-    if claim == "coentropy":
-        groups = coentropy_search(n, workers=workers)
-        return VerificationResult(
-            claim="coentropy",
-            order=n,
-            universe="connected",
-            holds=True,
-            extremal_graphs=[],
-            witnesses=[],
-            stats={
-                "group_count": len(groups),
-                "groups": [asdict(grp) for grp in groups],
-            },
-            runtime=0.0,
-        )
-    if claim == "param-compare":
-        pc = param_comparability(n, args.param, workers=workers)
-        return VerificationResult(
-            claim="param-compare",
-            order=n,
-            universe="connected",
-            holds=True,
-            extremal_graphs=[],
-            witnesses=[],
-            stats=_round12(asdict(pc)),
-            runtime=0.0,
-        )
-    if claim == "density-implies-star":
-        return verify_density_implies_star(n, workers=workers)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
-CLAIMS = [
-    "star-min-S",
-    "tree-extremes",
-    "renyi-star-min",
-    "renyi-max",
-    "edge-add-decrease",
-    "coentropy",
-    "param-compare",
-    "density-implies-star",
-]
+    t0 = time.perf_counter()
+    out = CLAIMS[args.claim](args, n, _threads(args))
+    if isinstance(out, VerificationResult):
+        return out
+    runtime = time.perf_counter() - t0
+    return VerificationResult(args.claim, n, "connected", True, [], [], out, runtime)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -307,14 +283,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         else:
             edges = "(no edges needed)"
         print(f"YES {edges}")
-        print(f"result graph6: {write_graph6(_augmented(g, found))}")
+        print(f"result graph6: {write_graph6(add_edges(g, found))}")
     return EXIT_OK
-
-
-def _augmented(g: Graph, combo) -> Graph:
-    from .graphs import add_edges
-
-    return add_edges(g, combo)
 
 
 # --- parser ----------------------------------------------------------------

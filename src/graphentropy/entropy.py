@@ -53,7 +53,13 @@ def shannon_entropy(p: Sequence[float]) -> float:
 
 
 def renyi_entropy(p: Sequence[float], alpha: float) -> float:
-    """Renyi alpha-entropy in bits; alpha = 1 falls back to Shannon."""
+    """Renyi alpha-entropy in bits; alpha = 1 is Shannon, alpha = inf is -log2(max p).
+
+    Evaluated as (alpha log2 p_max + log2 sum (p/p_max)^alpha) / (1 - alpha):
+    the sum is at least 1, so no alpha underflows it to 0.
+    """
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     probs = _validated(p)
@@ -61,8 +67,11 @@ def renyi_entropy(p: Sequence[float], alpha: float) -> float:
         return shannon_entropy(probs)
     if alpha == 0.0:
         return math.log2(sum(1 for x in probs if x > 0.0))
-    power = math.fsum(x**alpha for x in probs if x > 0.0)
-    return math.log2(power) / (1.0 - alpha) + 0.0
+    top = max(probs)
+    if alpha == math.inf:
+        return -math.log2(top) + 0.0
+    power = math.fsum((x / top) ** alpha for x in probs if x > 0.0)
+    return (alpha * math.log2(top) + math.log2(power)) / (1.0 - alpha) + 0.0
 
 
 def von_neumann_entropy(g: Graph, tol: float = DEFAULT_TOL) -> float:

@@ -22,17 +22,31 @@ every class exactly once, with no global seen-set. Memory stays linear in
 the recursion depth; the emission order (children sorted by edge count then
 canonical bytes, within their parent) is deterministic, including under the
 optional process-pool sharding.
+
+Census. ``census`` hands the order-n stream to the claim engines as numpy
+blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
+replayed on later calls; larger orders are streamed and dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import networkx as nx
+import numpy as np
 
-from .graphs import Graph, Graph6Error, parse_graph6, write_graph6
+from .graphs import (
+    Graph,
+    Graph6Error,
+    _bit_vertices,
+    _graph_from_adj,
+    is_connected,
+    parse_graph6,
+    write_graph6,
+)
 
 _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
 _AUT_CAP = 64  # keep at most this many discovered automorphisms per search
@@ -169,10 +183,6 @@ def _relabel(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, 
     return tuple(out)
 
 
-def _wrap(n: int, adj: tuple[int, ...]) -> Graph:
-    return Graph(n, adj, sum(r.bit_count() for r in adj) // 2)
-
-
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     """Canonical byte string of a graph; equal bytes iff isomorphic graphs."""
@@ -188,8 +198,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g (positions ordered by the minimal encoding)."""
     if g.n > 16:
         raise ValueError("canonical forms are supported for n <= 16")
-    cols, perm = _canon_search(g.n, g.adj)
-    return CanonicalForm(write_graph6(_wrap(g.n, _relabel(g.n, g.adj, perm))).encode("ascii"))
+    _, perm = _canon_search(g.n, g.adj)
+    canon = _graph_from_adj(g.n, _relabel(g.n, g.adj, perm))
+    return CanonicalForm(write_graph6(canon).encode("ascii"))
 
 
 def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -225,9 +236,9 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
             return False
         if inv_new is None:
             row = adjc[vnew]
-            inv_new = sorted(degs[u.bit_length() - 1] for u in _low_bits(row))
+            inv_new = sorted(degs[u] for u in _bit_vertices(row))
         row = adjc[v]
-        inv_v = sorted(degs[u.bit_length() - 1] for u in _low_bits(row))
+        inv_v = sorted(degs[u] for u in _bit_vertices(row))
         if inv_v < inv_new:
             return False
         if inv_v == inv_new:
@@ -237,13 +248,6 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
         if dcols < parent_cols:
             return False
     return True
-
-
-def _low_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _children(
@@ -279,45 +283,24 @@ def _children(
 
 
 def _expand(
-    k: int,
-    adj: tuple[int, ...],
-    cols: tuple[int, ...],
-    n: int,
-    connected_only: bool,
+    k: int, adj: tuple[int, ...], cols: tuple[int, ...], n: int
 ) -> Iterator[tuple[int, ...]]:
     """DFS from one representative down to order n, yielding adjacencies."""
     if k == n:
-        if not connected_only or _connected(k, adj):
-            yield adj
+        yield adj
         return
     for _, cadj, ccols in _children(k, adj, cols):
-        yield from _expand(k + 1, cadj, ccols, n, connected_only)
-
-
-def _connected(n: int, adj: tuple[int, ...]) -> bool:
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        row = frontier
-        while row:
-            low = row & -row
-            nxt |= adj[low.bit_length() - 1]
-            row ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+        yield from _expand(k + 1, cadj, ccols, n)
 
 
 _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
 
 
-def _shard_work(args: tuple[tuple[int, ...], int, bool]) -> list[tuple[int, ...]]:
-    adj, n, connected_only = args
+def _shard_work(args: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+    adj, n = args
     k = len(adj)
     cols, _ = _canon_search(k, adj)
-    return list(_expand(k, adj, cols, n, connected_only))
+    return list(_expand(k, adj, cols, n))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
@@ -326,30 +309,86 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     Streaming and deterministic: the sequence is identical for any
     ``workers`` value. Orders up to 10 are practical (the counts grow as
     1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168); beyond that the
-    pure-Python search is honest but slow.
+    pure-Python search is honest but slow. ``connected_only`` filters the
+    same stream, so it saves no generation work.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"order must be in 1..64, got {n}")
-    seed = ((0,), (0,))  # K_1 and its column encoding
     if workers > 1 and n > _SHARD_DEPTH + 1:
-        yield from _parallel(n, connected_only, workers)
-        return
-    for adj in _expand(1, seed[0], seed[1], n, connected_only):
-        yield _wrap(n, adj)
+        adjs = _parallel(n, workers)
+    else:
+        adjs = _expand(1, (0,), (0,), n)  # from K_1 and its column encoding
+    for adj in adjs:
+        g = _graph_from_adj(n, adj)
+        if not connected_only or is_connected(g):
+            yield g
 
 
-def _parallel(n: int, connected_only: bool, workers: int) -> Iterator[Graph]:
+def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
     import multiprocessing
 
-    shards = [
-        (adj, n, connected_only)
-        for adj in _expand(1, (0,), (0,), _SHARD_DEPTH, False)
-    ]
+    shards = [(adj, n) for adj in _expand(1, (0,), (0,), _SHARD_DEPTH)]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
         for batch in pool.imap(_shard_work, shards):
-            for adj in batch:
-                yield _wrap(n, adj)
+            yield from batch
+
+
+CENSUS_BLOCK = 1024  # classes per census block
+CENSUS_KEPT = 9  # orders up to this are kept once enumerated; larger ones stream
+
+
+class CensusBlock(NamedTuple):
+    """Consecutive classes of one order, in ``enumerate_graphs`` order.
+
+    ``rows[i]`` holds the adjacency bitmasks of class i (one unsigned column
+    per vertex), ``connected[i]`` whether it is connected, and ``graph6[i]``
+    its graph6 word.
+    """
+
+    rows: np.ndarray
+    connected: np.ndarray
+    graph6: np.ndarray
+
+
+_CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
+
+
+def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
+    """All graphs on n vertices, one per class, in blocks of ``CENSUS_BLOCK``.
+
+    Each block is yielded as soon as it is filled. A stream of order
+    n <= ``CENSUS_KEPT`` that runs to its end is kept, and later calls in the
+    process replay it without enumerating again; a stream stopped early keeps
+    nothing. Larger orders are enumerated on every call and never kept.
+    """
+    kept = _CENSUS.get(n)
+    if kept is not None:
+        yield from kept
+        return
+    blocks: list[CensusBlock] = []
+    graphs = enumerate_graphs(n, workers=workers)
+    try:
+        while chunk := list(itertools.islice(graphs, CENSUS_BLOCK)):
+            block = CensusBlock(
+                np.array([g.adj for g in chunk], dtype=np.min_scalar_type((1 << n) - 1)),
+                np.array([is_connected(g) for g in chunk]),
+                np.array([write_graph6(g) for g in chunk]),
+            )
+            for arr in block:  # a kept block is shared by every later caller
+                arr.flags.writeable = False
+            if n <= CENSUS_KEPT:
+                blocks.append(block)
+            yield block
+    finally:
+        graphs.close()  # stops the pool of a sharded stream left early
+    if n <= CENSUS_KEPT:
+        _CENSUS[n] = tuple(blocks)
+
+
+def clear_census() -> None:
+    """Forget every kept census, so the next ``census`` call enumerates."""
+    _CENSUS.clear()
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -372,7 +411,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         for u, v in t.edges():
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        yield _wrap(n, tuple(adj))
+        yield _graph_from_adj(n, tuple(adj))
 
 
 def stream_graph6(

@@ -268,16 +268,7 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component."""
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bit_vertices(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return component_count(g) == 1
 
 
 def component_count(g: Graph) -> int:

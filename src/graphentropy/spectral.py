@@ -70,3 +70,35 @@ def density_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
     if vals[-1] != 0.0:
         raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")
     return Spectrum(tuple(vals), tol)
+
+
+def density_spectra(rows: np.ndarray) -> np.ndarray:
+    """Density spectra of many graphs of one order, with one stacked eigensolve.
+
+    ``rows`` is a (B, n) array of adjacency bitmasks, one graph per row (a
+    census block's ``rows``). Returns a (B, n) array whose row i equals
+    ``density_spectrum`` of graph i at the default tolerance, bit for bit,
+    with the same tolerance policy and errors. The Laplacian's off-diagonal
+    zeros must be +0.0: with -0.0 the stacked eigensolve drifts in the last bits.
+    """
+    n = rows.shape[1]
+    bits = (rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1
+    lap = np.where(bits != 0, -1.0, 0.0)
+    degrees = bits.sum(axis=2)
+    lap[:, range(n), range(n)] = degrees
+    d = degrees.sum(axis=1)
+    if not d.all():
+        raise ValueError("density matrix undefined: a graph has no edges")
+    w = np.linalg.eigvalsh(lap)  # ascending per row
+    scale = np.maximum(1.0, np.linalg.norm(lap, axis=(1, 2)))
+    if np.any(np.abs(w.sum(axis=1) - d) > n * DEFAULT_TOL * scale):
+        raise ArithmeticError("eigenvalue sum drifted from the trace")
+    vals = w[:, ::-1] / d[:, None]
+    if np.any(vals < -DEFAULT_TOL):
+        raise ArithmeticError(f"negative eigenvalue {vals.min()} from a semidefinite Laplacian")
+    vals = np.where(np.abs(vals) <= DEFAULT_TOL, 0.0, vals)
+    if np.any(np.abs(vals.sum(axis=1) - 1.0) > n * DEFAULT_TOL):
+        raise ArithmeticError("cleaned spectrum does not sum to 1")
+    if np.any(vals[:, -1] != 0.0):
+        raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")
+    return vals

@@ -1,11 +1,14 @@
+import argparse
 import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
-from graphentropy.cli import main
+from graphentropy.cli import _run_claim, _threads, main
+from graphentropy.enumeration import clear_census
 from graphentropy.entropy import star_entropy_closed
 from graphentropy.enumeration import canonical_form
 from graphentropy.graphs import path, star, write_graph6
@@ -178,16 +181,42 @@ def test_verify_text_format(capsys):
     assert "holds: True" in out
 
 
+# each run forgets the kept census first, so both runs really enumerate
+
+
 def test_verify_stdout_independent_of_threads(capsys):
+    clear_census()
     rc1, out1, _ = run(capsys, "verify", "star-min-S", "--n", "6", "--threads", "1")
+    clear_census()
     rc2, out2, _ = run(capsys, "verify", "star-min-S", "--n", "6", "--threads", "2")
     assert (rc1, out1) == (rc2, out2)
 
 
 def test_table1_stdout_independent_of_threads(capsys):
+    clear_census()
     rc1, out1, _ = run(capsys, "table1", "--n", "6", "--threads", "1")
+    clear_census()
     rc2, out2, _ = run(capsys, "table1", "--n", "6", "--threads", "3")
     assert (rc1, out1) == (rc2, out2)
+
+
+@pytest.mark.parametrize("claim", ["coentropy", "param-compare"])
+def test_verify_reports_real_runtime(claim):
+    args = argparse.Namespace(
+        claim=claim, n="6", alpha=None, entropy="S", param="diameter", witness_cap=1000, threads=1
+    )
+    assert _run_claim(args).runtime > 0
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    # only _threads is called: no pool of this size is ever started
+    cpus = os.cpu_count() or 1
+    assert _threads(argparse.Namespace(threads=10**6)) == cpus
+    assert _threads(argparse.Namespace(threads=0)) == 1
+    monkeypatch.setenv("GEL_THREADS", str(10**6))
+    assert _threads(argparse.Namespace(threads=None)) == cpus
+    monkeypatch.delenv("GEL_THREADS")
+    assert _threads(argparse.Namespace(threads=None)) == 1
 
 
 # --- augment ---------------------------------------------------------------------

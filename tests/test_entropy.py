@@ -87,6 +87,18 @@ def test_renyi_limits_and_special_orders():
         assert abs(renyi_entropy(p, 200.0) + math.log2(max(p))) < 0.05
 
 
+def test_renyi_large_infinite_and_nan_orders():
+    assert renyi_entropy([0.5, 0.5], 2000.0) == pytest.approx(1.0, abs=1e-12)
+    assert graph_renyi_entropy(complete(6), 1500.0) == pytest.approx(math.log2(5), abs=1e-12)
+    assert renyi_entropy([0.5, 0.5], math.inf) == 1.0
+    p = [0.7, 0.2, 0.1]
+    assert renyi_entropy(p, math.inf) == -math.log2(0.7)
+    assert renyi_entropy(p, 1e6) == pytest.approx(-math.log2(0.7), abs=1e-5)
+    assert renyi_entropy([1.0, 0.0], math.inf) == 0.0
+    with pytest.raises(ValueError):
+        renyi_entropy(p, math.nan)
+
+
 def test_renyi_nonincreasing_in_alpha():
     rng = random.Random(11)
     alphas = [0.0, 0.3, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0]

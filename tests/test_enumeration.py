@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+from graphentropy import enumeration
 from graphentropy.enumeration import (
+    CENSUS_BLOCK,
     CanonicalForm,
     canonical_form,
+    census,
+    clear_census,
     enumerate_graphs,
     enumerate_trees,
     stream_graph6,
@@ -128,6 +132,70 @@ def test_enumeration_connected_subset():
     alln = {write_graph6(g) for g in enumerate_graphs(5)}
     assert conn < alln
     assert all(is_connected(parse_graph6(w)) for w in conn)
+
+
+# --- census ------------------------------------------------------------------
+
+
+def census_stream(n, workers=1):
+    out = []
+    for block in census(n, workers=workers):
+        assert len(block.rows) <= CENSUS_BLOCK
+        rows = map(tuple, block.rows.tolist())
+        out.extend(zip(rows, block.connected.tolist(), block.graph6.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_matches_enumeration_stream(workers):
+    for n in range(1, 8):
+        clear_census()
+        want = [(g.adj, is_connected(g), write_graph6(g)) for g in enumerate_graphs(n)]
+        assert census_stream(n, workers) == want
+
+
+def counting_enumerator(monkeypatch):
+    calls = []
+    real = enumeration.enumerate_graphs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "enumerate_graphs", counted)
+    return calls
+
+
+def test_census_second_call_replays(monkeypatch):
+    clear_census()
+    calls = counting_enumerator(monkeypatch)
+    first = census_stream(7)
+    assert census_stream(7) == first
+    assert census_stream(7, workers=2) == first
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        next(census(7)).rows[0, 0] = 1  # kept blocks are read-only
+
+
+def test_census_stopped_midstream_keeps_nothing(monkeypatch):
+    clear_census()
+    calls = counting_enumerator(monkeypatch)
+    with pytest.raises(RuntimeError):
+        for _ in census(7):
+            raise RuntimeError("consumer failed on the first block")
+    for _ in census(7):
+        break
+    assert 7 not in enumeration._CENSUS
+    census_stream(7)
+    assert len(calls) == 3 and 7 in enumeration._CENSUS
+
+
+def test_census_streams_orders_above_the_kept_limit(monkeypatch):
+    clear_census()
+    monkeypatch.setattr(enumeration, "CENSUS_KEPT", 5)
+    calls = counting_enumerator(monkeypatch)
+    assert census_stream(6) == census_stream(6)
+    assert len(calls) == 2 and 6 not in enumeration._CENSUS
 
 
 # --- trees -----------------------------------------------------------------------

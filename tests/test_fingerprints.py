@@ -1,0 +1,47 @@
+"""Byte-for-byte regression fingerprints at n = 7.
+
+Each value is the first 16 hex digits of a sha256 recorded before the
+census existed: the n=7 enumeration streams (graph6 word plus newline per
+class) and the stdout of every census-backed CLI command. A change to the
+enumeration order, to a fold, or to the float arithmetic behind them moves
+a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from graphentropy.cli import main
+from graphentropy.enumeration import enumerate_graphs
+from graphentropy.graphs import write_graph6
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "connected, expected", [(False, "7b567b745b1badf2"), (True, "f4f4ab04bd49208d")]
+)
+def test_enumeration_stream_fingerprint(connected, expected):
+    stream = "".join(write_graph6(g) + "\n" for g in enumerate_graphs(7, connected_only=connected))
+    assert digest(stream) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("verify star-min-S --n 7", "dd6fb32b7d665a13"),
+        ("verify renyi-star-min --n 7 --alpha 1.5", "501e4c91ec3a3a1f"),
+        ("verify renyi-star-min --n 7 --alpha 2", "a786770fc7f59c23"),
+        ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
+        ("verify coentropy --n 7", "5ab8b2b9266c8aee"),
+        ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),
+        ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
+        ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
+        ("table1 --n 2..7", "28ca38400e1d8b2f"),
+    ],
+)
+def test_cli_stdout_fingerprint(capsys, argv, expected):
+    main(argv.split())
+    assert digest(capsys.readouterr().out) == expected

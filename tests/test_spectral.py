@@ -12,10 +12,18 @@ from graphentropy.graphs import (
     empty_graph,
     from_edges,
     laplacian,
+    parse_graph6,
     path,
     star,
 )
-from graphentropy.spectral import DEFAULT_TOL, Spectrum, density_spectrum, eigenvalues_symmetric
+from graphentropy.enumeration import census
+from graphentropy.spectral import (
+    DEFAULT_TOL,
+    Spectrum,
+    density_spectra,
+    density_spectrum,
+    eigenvalues_symmetric,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -111,3 +119,21 @@ def test_density_spectrum_exact_cases():
 def test_density_spectrum_rejects_edgeless():
     with pytest.raises(ValueError):
         density_spectrum(empty_graph(3))
+
+
+def test_density_spectra_bit_identical_to_per_graph_path():
+    for n in range(2, 8):
+        for block in census(n):
+            edged = block.rows.any(axis=1)
+            stacked = density_spectra(block.rows[edged]).tolist()
+            words = block.graph6[edged].tolist()
+            assert len(stacked) == len(words)
+            for vals, word in zip(stacked, words):
+                assert tuple(vals) == density_spectrum(parse_graph6(word)).values
+
+
+def test_density_spectra_rejects_edgeless_row():
+    rows = np.array([[2, 1, 0], [0, 0, 0]], dtype=np.uint8)  # K2 + K1, then empty
+    with pytest.raises(ValueError):
+        density_spectra(rows)
+    assert density_spectra(rows[:1]).tolist() == [[1.0, 0.0, 0.0]]
