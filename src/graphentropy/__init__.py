@@ -82,4 +82,29 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # graphs
+    "MAX_VERTICES", "DegreeSequence", "Graph", "Graph6Error", "add_edge",
+    "add_edges", "complete", "complete_bipartite", "component_count", "cycle",
+    "degree_sequence", "diameter", "disjoint_union", "empty_graph",
+    "from_edges", "is_connected", "laplacian", "matching_number", "max_degree",
+    "parse_graph6", "path", "star", "write_graph6",
+    # spectral
+    "DEFAULT_TOL", "Spectrum", "density_spectrum", "eigenvalues_symmetric",
+    # entropy
+    "EntropyReport", "Majorization", "bipartite_entropy_closed",
+    "density_test", "entropy_augmentation", "entropy_report",
+    "graph_renyi_entropy", "h2_degree", "k2n2_closed", "majorizes",
+    "mediant_bounds", "renyi_entropy", "shannon_entropy",
+    "star_entropy_closed", "star_test", "sum_squares_monotone_check", "tr2",
+    "union_entropy", "von_neumann_entropy",
+    # enumeration
+    "CanonicalForm", "canonical_form", "enumerate_graphs", "enumerate_trees",
+    "stream_graph6",
+    # verify
+    "CoentropyGroup", "ParamComparison", "TheoremViolation",
+    "VerificationResult", "coentropy_search", "edge_add_decrease_search",
+    "failing_graph_properties", "param_comparability", "table1_row",
+    "verify_density_implies_star", "verify_renyi_max", "verify_renyi_star_min",
+    "verify_star_min_von_neumann", "verify_tree_extremes",
+]

@@ -1,27 +1,37 @@
 """Isomorph-free generation of graphs and trees, plus canonical forms.
 
-Canonical form. Among all vertex orderings of a graph, take the one whose
-upper-triangle adjacency bits (in graph6 column order) are lexicographically
-smallest; the graph relabeled by that ordering is the canonical
-representative, and its graph6 encoding is the canonical byte string. The
-search is individualization-refinement: an equitable partition refinement
-splits vertices by their neighbor counts into splitter cells until stable,
-and where a non-singleton cell remains, each member is individualized in
-turn. Two orderings that produce the same encoding differ by an
-automorphism; discovered automorphisms prune sibling branches through their
-orbits, which keeps highly symmetric graphs (complete, complete bipartite)
-from exploding. Exact but exponential in the worst case; intended for the
-orders this package works at (n <= 16).
+Canonical form. The search is individualization-refinement: an equitable
+partition refinement splits vertices by their neighbor counts into splitter
+cells until stable, and where a non-singleton cell remains, each member is
+individualized in turn. Every leaf of that search tree is a vertex ordering;
+the canonical ordering is the leaf whose upper-triangle adjacency bits (in
+graph6 column order) are lexicographically smallest, the graph relabeled by
+it is the canonical representative, and its graph6 encoding is the
+canonical byte string. Isomorphic graphs have search trees that agree up
+to relabeling, so they get the same bytes. The minimum is taken over
+the leaves only, not over all n! orderings, so the bytes are in general not
+the smallest graph6 word of the class. Two leaves with the same encoding
+differ by an automorphism; discovered automorphisms prune sibling branches
+through their orbits, which keeps highly symmetric graphs (complete,
+complete bipartite) from exploding. Exact but exponential in the worst
+case; intended for the orders this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
 class, a canonical choice of that deleted vertex makes the parent/child
 relation a tree on isomorphism classes, so a DFS from K_1 that only accepts
 children whose new vertex is a legitimate canonical deletion point emits
-every class exactly once, with no global seen-set. Memory stays linear in
-the recursion depth; the emission order (children sorted by edge count then
-canonical bytes, within their parent) is deterministic, including under the
-optional process-pool sharding.
+every class exactly once, with no global seen-set. A child is the parent
+plus a new vertex joined to an attachment set; sets in one orbit under the
+parent's automorphisms give the same child, so only one set per orbit is
+tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998). The automorphisms are those the canonical search found, carried down
+the DFS in the canonical labeling; they may generate a proper subgroup, so
+the few duplicate children left within one parent are dropped by canonical
+form. Memory stays linear in the recursion depth; the emission order
+(children sorted by edge count then canonical adjacency rows, within their
+parent) is deterministic, including under the optional process-pool
+sharding.
 
 Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
@@ -85,19 +95,27 @@ def _refine(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[list[i
     return cells
 
 
-def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(canonical column encoding, canonical ordering) for the graph.
+Auts = list[tuple[int, ...]]
+
+
+def _canon_search(
+    n: int, adj: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], Auts]:
+    """(canonical column encoding, canonical ordering, automorphisms) for the graph.
 
     The ordering maps position -> original vertex. Column j of an ordering
     is the j-bit integer whose bits are adjacency between position j and
     positions 0..j-1 (earliest position most significant), matching graph6
-    bit order, so comparing column tuples compares graph6 bodies.
+    bit order, so comparing column tuples compares graph6 bodies. The
+    automorphisms (vertex -> vertex, at most ``_AUT_CAP``) are those the
+    search found between leaves; they may generate only a subgroup of the
+    automorphism group.
     """
     if n == 1:
-        return (0,), (0,)
+        return (0,), (0,), []
     best_cols = [_INF] * n
     best_perm: list[int] | None = None
-    auts: list[tuple[int, ...]] = []
+    auts: Auts = []
     prefix: list[int] = []
 
     def search(cells: list[list[int]]) -> None:
@@ -163,7 +181,7 @@ def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
     search(_refine(n, adj, [list(range(n))]))
     assert best_perm is not None
-    return tuple(best_cols), tuple(best_perm)
+    return tuple(best_cols), tuple(best_perm), auts
 
 
 def _relabel(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,10 +213,10 @@ class CanonicalForm:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of g (positions ordered by the minimal encoding)."""
+    """Canonical form of g (positions ordered by the smallest leaf encoding)."""
     if g.n > 16:
         raise ValueError("canonical forms are supported for n <= 16")
-    _, perm = _canon_search(g.n, g.adj)
+    _, perm, _ = _canon_search(g.n, g.adj)
     canon = _graph_from_adj(g.n, _relabel(g.n, g.adj, perm))
     return CanonicalForm(write_graph6(canon).encode("ascii"))
 
@@ -244,25 +262,62 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
         if inv_v == inv_new:
             ties.append(v)
     for v in ties:
-        dcols, _ = _canon_search(nc - 1, _delete_vertex(adjc, v))
+        dcols, _, _ = _canon_search(nc - 1, _delete_vertex(adjc, v))
         if dcols < parent_cols:
             return False
     return True
 
 
+def _orbit_representatives(k: int, auts: Auts) -> Iterable[int]:
+    """One vertex subset of 0..k-1 (as a bitmask) per orbit under ``auts``.
+
+    Each representative is the smallest member of its orbit under the group
+    the permutations generate.
+    """
+    if not auts:
+        return range(1 << k)
+    images = []  # images[g][x]: bitmask x mapped by generator g
+    for sigma in auts:
+        img = [0] * (1 << k)
+        for x in range(1, 1 << k):
+            low = x & -x
+            img[x] = img[x ^ low] | (1 << sigma[low.bit_length() - 1])
+        images.append(img)
+    reps = []
+    done = bytearray(1 << k)
+    for x in range(1 << k):
+        if done[x]:
+            continue
+        reps.append(x)
+        done[x] = 1
+        orbit = [x]
+        for y in orbit:
+            for img in images:
+                z = img[y]
+                if not done[z]:
+                    done[z] = 1
+                    orbit.append(z)
+    return reps
+
+
 def _children(
-    k: int, adj: tuple[int, ...], cols: tuple[int, ...]
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Auts]]:
     """Accepted, deduplicated children of a canonical representative.
 
-    Returns (m, adjacency, columns) triples for the canonically relabeled
-    children on k+1 vertices, sorted by (m, columns).
+    Returns (m, adjacency, columns, automorphisms) for the canonically
+    relabeled children on k+1 vertices, sorted by (m, adjacency). ``auts``
+    are automorphisms of ``adj``; attachment sets in one orbit under them
+    give isomorphic children with the new vertex fixed (all accepted or all
+    rejected, with one canonical form), so only one set per orbit is tried.
     """
     nc = k + 1
     degs = [a.bit_count() for a in adj]
     m_parent = sum(degs) // 2
-    seen: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for x in range(1 << k):
+    # found automorphisms may generate a proper subgroup, and distinct orbits
+    # can still give isomorphic children, so duplicates remain possible
+    seen: dict[tuple[int, ...], tuple[int, tuple[int, ...], Auts]] = {}
+    for x in _orbit_representatives(k, auts):
         dn = x.bit_count()
         # the new vertex must end up with minimum degree, else it cannot be
         # a canonical deletion point under the degree-first invariant
@@ -276,21 +331,28 @@ def _children(
         child = tuple(adj[v] | (((x >> v) & 1) << k) for v in range(k)) + (x,)
         if not _accepted(nc, child, cols):
             continue
-        ccols, perm = _canon_search(nc, child)
+        ccols, perm, cauts = _canon_search(nc, child)
         if ccols not in seen:
-            seen[ccols] = (m_parent + dn, _relabel(nc, child, perm))
-    return sorted((m, a, c) for c, (m, a) in seen.items())
+            pos = [0] * nc
+            for i, v in enumerate(perm):
+                pos[v] = i
+            # the automorphisms again, in the canonical labeling
+            relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
+            seen[ccols] = (m_parent + dn, _relabel(nc, child, perm), relabeled)
+    # distinct columns mean distinct adjacencies, so the sort never compares
+    # beyond (m, adjacency)
+    return sorted((m, a, c, au) for c, (m, a, au) in seen.items())
 
 
 def _expand(
-    k: int, adj: tuple[int, ...], cols: tuple[int, ...], n: int
+    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts, n: int
 ) -> Iterator[tuple[int, ...]]:
     """DFS from one representative down to order n, yielding adjacencies."""
     if k == n:
         yield adj
         return
-    for _, cadj, ccols in _children(k, adj, cols):
-        yield from _expand(k + 1, cadj, ccols, n)
+    for _, cadj, ccols, cauts in _children(k, adj, cols, auts):
+        yield from _expand(k + 1, cadj, ccols, cauts, n)
 
 
 _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
@@ -299,8 +361,9 @@ _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
 def _shard_work(args: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
     adj, n = args
     k = len(adj)
-    cols, _ = _canon_search(k, adj)
-    return list(_expand(k, adj, cols, n))
+    # adj is canonical already, so the automorphisms are in its labeling
+    cols, _, auts = _canon_search(k, adj)
+    return list(_expand(k, adj, cols, auts, n))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
@@ -317,7 +380,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     if workers > 1 and n > _SHARD_DEPTH + 1:
         adjs = _parallel(n, workers)
     else:
-        adjs = _expand(1, (0,), (0,), n)  # from K_1 and its column encoding
+        adjs = _expand(1, (0,), (0,), [], n)  # from K_1, its columns and no automorphism
     for adj in adjs:
         g = _graph_from_adj(n, adj)
         if not connected_only or is_connected(g):
@@ -327,7 +390,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
 def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
     import multiprocessing
 
-    shards = [(adj, n) for adj in _expand(1, (0,), (0,), _SHARD_DEPTH)]
+    shards = [(adj, n) for adj in _expand(1, (0,), (0,), [], _SHARD_DEPTH)]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
         for batch in pool.imap(_shard_work, shards):

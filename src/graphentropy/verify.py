@@ -74,8 +74,14 @@ class VerificationResult:
     runtime: float
 
     def __post_init__(self) -> None:
-        if self.holds != (not self.witnesses):
-            raise ValueError("holds must mean exactly: no witnesses")
+        # a failing claim may show no witness: --witness-cap 0 keeps none
+        if self.holds and self.witnesses:
+            raise ValueError("a claim that holds has no witnesses")
+
+
+def _check_cap(witness_cap: int) -> None:
+    if witness_cap < 0:
+        raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
 
 
 def _result(
@@ -168,6 +174,7 @@ def verify_star_min_von_neumann(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_cap(witness_cap)
     return _star_min_scan(
         "star-min-S", n, shannon_entropy, star_entropy_closed(n), {}, witness_cap, workers
     )
@@ -221,6 +228,7 @@ def verify_tree_extremes(
         raise ValueError("need n >= 3")
     if entropy not in ("S", "H2"):
         raise ValueError("entropy must be 'S' or 'H2'")
+    _check_cap(witness_cap)
     t0 = time.perf_counter()
     classes = 0
     if entropy == "H2":
@@ -292,8 +300,8 @@ def verify_tree_extremes(
         rows.append((s, g6))
     assert path_s is not None
     witnesses = [g6 for s, g6 in rows if g6 != path_g6 and s >= path_s - EPS]
-    witnesses = witnesses[:witness_cap]
     holds = not witnesses
+    witnesses = witnesses[:witness_cap]
     stats = {
         "classes": classes,
         "path_entropy": path_s,
@@ -327,6 +335,7 @@ def verify_renyi_star_min(
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_cap(witness_cap)
     if alpha != 2.0:
         d = 2 * n - 2  # rho(K_{1,n-1}): n/d once, 1/d with multiplicity n-2, and 0
         target = renyi_entropy([n / d] + [1 / d] * (n - 2) + [0.0], alpha)
@@ -381,6 +390,7 @@ def verify_renyi_max(
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_cap(witness_cap)
     t0 = time.perf_counter()
     bound = math.log2(n - 1)
     top = _Extremes(biggest=True)
@@ -469,6 +479,7 @@ def edge_add_decrease_search(
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    _check_cap(witness_cap)
     t0 = time.perf_counter()
     witnesses: list[str] = []
     pairs: list[dict] = []
@@ -541,11 +552,12 @@ def coentropy_search(
 ) -> list[CoentropyGroup]:
     """Groups of connected graphs with equal S but different rho-spectra.
 
-    Sort-then-sweep on S: clusters within ``group_tol`` are candidate
-    groups; each is sub-split where consecutive float64 values of S differ by
-    more than 1e-12 (the values are not recomputed in higher precision), and
-    a sub-group is kept only if some member pair differs by more than
-    ``spectra_tol`` in a sorted spectrum entry.
+    Sort-then-sweep on S: a candidate group is a run of the sorted float64
+    values of S whose consecutive gaps are all within min(group_tol, 1e-12)
+    (the values are not recomputed in higher precision). So ``group_tol``
+    changes the groups only when it is below 1e-12; the default 1e-9 gives
+    runs within 1e-12. A group is kept only if some member pair differs by
+    more than ``spectra_tol`` in a sorted spectrum entry.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -611,29 +623,57 @@ def param_comparability(
     ``entropy_drops`` collects pairs (G1, G2) with param(G1) < param(G2) and
     S(G1) > S(G2) + 1e-9; ``entropy_rises`` the pairs with S(G1) < S(G2) -
     1e-9. Both nonempty means the parameter and S are incomparable. Lists
-    are capped at ``cap``; counts are exact.
+    are capped at ``cap`` and keep the first pairs in row-major census order
+    (G1 outer, G2 inner); counts are exact.
+
+    No pair is visited to count. For each param level, the keys S(G2) + 1e-9
+    (drops) and S(G2) - 1e-9 (rises) of the graphs at higher levels are
+    sorted once and each S(G1) at that level is bisected into them, so the
+    fold takes O(N log N). The keys are the same rounded float64 sums the
+    pairwise comparison would form. The capped lists are then filled from the
+    rows with a nonzero count only, one vectorized mask per row.
     """
     if param not in _PARAMS:
         raise ValueError(f"param must be one of {sorted(_PARAMS)}")
     f = _PARAMS[param]
-    rows = []
-    for adj_rows, words in _scan(n, workers):
-        for adj, vals, g6 in zip(adj_rows.tolist(), density_spectra(adj_rows).tolist(), words):
-            rows.append((f(_graph_from_adj(n, adj)), shannon_entropy(vals), g6))
-    out = ParamComparison(param=param, order=n)
-    for p1, s1, g1 in rows:
-        for p2, s2, g2 in rows:
-            if p1 >= p2:
-                continue
-            if s1 > s2 + EPS:
-                out.drop_count += 1
-                if len(out.entropy_drops) < cap:
-                    out.entropy_drops.append((g1, g2))
-            elif s1 < s2 - EPS:
-                out.rise_count += 1
-                if len(out.entropy_rises) < cap:
-                    out.entropy_rises.append((g1, g2))
-    return out
+    ps: list[int] = []
+    ss: list[float] = []
+    words: list[str] = []
+    for adj_rows, block_words in _scan(n, workers):
+        ps.extend(f(_graph_from_adj(n, adj)) for adj in adj_rows.tolist())
+        ss.extend(shannon_entropy(vals) for vals in density_spectra(adj_rows).tolist())
+        words.extend(block_words)
+    p = np.array(ps, dtype=np.int64)
+    s = np.array(ss, dtype=np.float64)
+    drop_key = s + EPS  # G2 is a drop partner of G1 when drop_key[G2] < S(G1)
+    rise_key = s - EPS  # and a rise partner when rise_key[G2] > S(G1)
+    drops = np.zeros(len(s), dtype=np.int64)
+    rises = np.zeros(len(s), dtype=np.int64)
+    for level in np.unique(p):
+        at, above = p == level, p > level
+        keys = np.sort(drop_key[above])
+        drops[at] = np.searchsorted(keys, s[at], side="left")
+        keys = np.sort(rise_key[above])
+        rises[at] = len(keys) - np.searchsorted(keys, s[at], side="right")
+
+    def first_pairs(counts: np.ndarray, partner: Callable[[int], np.ndarray]) -> list:
+        # the first cap pairs (i, j) in row-major order with p[i] < p[j] and partner(i)[j]
+        pairs: list[tuple[str, str]] = []
+        for i in np.flatnonzero(counts).tolist():
+            if len(pairs) >= cap:
+                break
+            js = np.flatnonzero((p > p[i]) & partner(i))[: cap - len(pairs)]
+            pairs.extend((words[i], words[j]) for j in js.tolist())
+        return pairs
+
+    return ParamComparison(
+        param=param,
+        order=n,
+        entropy_drops=first_pairs(drops, lambda i: drop_key < s[i]),
+        entropy_rises=first_pairs(rises, lambda i: rise_key > s[i]),
+        drop_count=int(drops.sum()),
+        rise_count=int(rises.sum()),
+    )
 
 
 def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:

@@ -131,3 +131,29 @@ def brute_matching(g: Graph) -> int:
                 best = size
                 break
     return best
+
+
+def brute_param_pairs(rows: list[tuple[int, float, str]], cap: int, eps: float = 1e-9):
+    """Every ordered pair of (param, entropy, word) rows, compared one by one.
+
+    Returns (drops, rises, drop_count, rise_count): a pair (i, j) with
+    param_i < param_j is a drop when s_i > s_j + eps and a rise when
+    s_i < s_j - eps; the lists keep the first ``cap`` pairs in row-major
+    order, the counts are exact.
+    """
+    drops: list[tuple[str, str]] = []
+    rises: list[tuple[str, str]] = []
+    drop_count = rise_count = 0
+    for p1, s1, g1 in rows:
+        for p2, s2, g2 in rows:
+            if p1 >= p2:
+                continue
+            if s1 > s2 + eps:
+                drop_count += 1
+                if len(drops) < cap:
+                    drops.append((g1, g2))
+            elif s1 < s2 - eps:
+                rise_count += 1
+                if len(rises) < cap:
+                    rises.append((g1, g2))
+    return drops, rises, drop_count, rise_count

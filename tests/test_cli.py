@@ -148,6 +148,21 @@ def test_verify_counterexamples_exit_three(capsys):
     assert body["stats"]["k2n2_witness_found"] is True
 
 
+@pytest.mark.parametrize(
+    "claim", ["edge-add-decrease", "star-min-S", "renyi-star-min", "tree-extremes"]
+)
+def test_verify_witness_cap_zero_and_negative(capsys, claim):
+    argv = ["verify", claim, "--n", "5", "--alpha", "1.5"]
+    rc, out, _ = run(capsys, *argv, "--witness-cap", "0")
+    body = json.loads(out)
+    assert body["witnesses"] == []
+    # decreases exist at n=5; the other claims hold there
+    assert rc == (3 if claim == "edge-add-decrease" else 0)
+    assert body["holds"] is (rc == 0)
+    rc, out, err = run(capsys, *argv, "--witness-cap", "-1")
+    assert rc == 1 and out == "" and "witness cap" in err
+
+
 def test_verify_coentropy_wrapped(capsys):
     rc, out, _ = run(capsys, "verify", "coentropy", "--n", "4")
     assert rc == 0

@@ -1,10 +1,10 @@
-"""Byte-for-byte regression fingerprints at n = 7.
+"""Byte-for-byte regression fingerprints at n = 7 and n = 8.
 
-Each value is the first 16 hex digits of a sha256 recorded before the
-census existed: the n=7 enumeration streams (graph6 word plus newline per
-class) and the stdout of every census-backed CLI command. A change to the
-enumeration order, to a fold, or to the float arithmetic behind them moves
-a digest.
+Each value is the first 16 hex digits of a sha256 recorded on the code
+before the fold or generation step it guards was rewritten: the enumeration
+streams (graph6 word plus newline per class) and the stdout of every
+census-backed CLI command. A change to the enumeration order, to a fold, or
+to the float arithmetic behind them moves a digest.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import pytest
 
 from graphentropy.cli import main
 from graphentropy.enumeration import enumerate_graphs
-from graphentropy.graphs import write_graph6
+from graphentropy.graphs import is_connected, write_graph6
 
 
 def digest(text):
@@ -28,6 +28,17 @@ def test_enumeration_stream_fingerprint(connected, expected):
     assert digest(stream) == expected
 
 
+def test_enumeration_stream_fingerprint_order_8():
+    every, connected = hashlib.sha256(), hashlib.sha256()
+    for g in enumerate_graphs(8):
+        line = (write_graph6(g) + "\n").encode("ascii")
+        every.update(line)
+        if is_connected(g):
+            connected.update(line)
+    assert every.hexdigest()[:16] == "b5651e28ae739a5d"
+    assert connected.hexdigest()[:16] == "00ef3b6950f5e39e"
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -37,6 +48,8 @@ def test_enumeration_stream_fingerprint(connected, expected):
         ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
         ("verify coentropy --n 7", "5ab8b2b9266c8aee"),
         ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),
+        ("verify param-compare --n 7 --param diameter", "d2b7d7a41f112761"),
+        ("verify param-compare --n 7 --param max_degree", "218fbd1718986613"),
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
         ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
         ("table1 --n 2..7", "28ca38400e1d8b2f"),

@@ -1,0 +1,16 @@
+import types
+
+import graphentropy
+
+
+def test_star_import_binds_no_modules():
+    namespace: dict = {}
+    exec("from graphentropy import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(graphentropy.__all__)
+    assert not [name for name, obj in namespace.items() if isinstance(obj, types.ModuleType)]
+
+
+def test_all_names_are_unique_and_public():
+    assert len(set(graphentropy.__all__)) == len(graphentropy.__all__)
+    assert not [name for name in graphentropy.__all__ if name.startswith("_")]

@@ -4,20 +4,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphentropy.entropy import renyi_entropy, star_entropy_closed
-from graphentropy.enumeration import canonical_form
+from graphentropy.entropy import renyi_entropy, star_entropy_closed, von_neumann_entropy
+from graphentropy.enumeration import canonical_form, enumerate_graphs
 from graphentropy.graphs import (
     add_edge,
     complete,
     degree_sequence,
+    diameter,
     is_connected,
     laplacian,
+    matching_number,
+    max_degree,
     parse_graph6,
     path,
     star,
     write_graph6,
 )
+from graphentropy import verify
 from graphentropy.verify import (
+    DEFAULT_WITNESS_CAP,
     CoentropyGroup,
     TheoremViolation,
     VerificationResult,
@@ -32,6 +37,8 @@ from graphentropy.verify import (
     verify_star_min_von_neumann,
     verify_tree_extremes,
 )
+
+from _oracles import brute_param_pairs
 
 # star-test failure counts over connected graphs, by order
 FAILURE_ROWS = {2: (0, 1), 3: (1, 2), 4: (2, 6), 5: (4, 21), 6: (8, 112), 7: (16, 853)}
@@ -210,6 +217,64 @@ def test_edge_add_validation():
         edge_add_decrease_search(2)
 
 
+# --- witness caps -------------------------------------------------------------------
+
+CAPPED_ENGINES = {
+    "star-min-S": lambda cap: verify_star_min_von_neumann(5, witness_cap=cap),
+    "renyi-star-min": lambda cap: verify_renyi_star_min(5, 1.5, witness_cap=cap),
+    "renyi-max": lambda cap: verify_renyi_max(5, 3.0, witness_cap=cap),
+    "tree-extremes": lambda cap: verify_tree_extremes(7, witness_cap=cap),
+    "edge-add-decrease": lambda cap: edge_add_decrease_search(5, witness_cap=cap),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CAPPED_ENGINES))
+def test_negative_witness_cap_rejected(claim):
+    with pytest.raises(ValueError, match="witness cap"):
+        CAPPED_ENGINES[claim](-1)
+
+
+@pytest.mark.parametrize("claim", sorted(CAPPED_ENGINES))
+def test_witness_cap_zero_keeps_the_verdict(claim):
+    full = CAPPED_ENGINES[claim](DEFAULT_WITNESS_CAP)
+    capped = CAPPED_ENGINES[claim](0)
+    assert capped.witnesses == []
+    assert capped.holds == full.holds
+    assert capped.holds == (claim != "edge-add-decrease")
+
+
+def test_witness_cap_zero_star_min_with_counterexamples(monkeypatch):
+    # a star value above every class makes every class a counterexample
+    monkeypatch.setattr(verify, "star_entropy_closed", lambda n: 100.0)
+    res = verify_star_min_von_neumann(5, witness_cap=0)
+    assert not res.holds and res.witnesses == []
+    assert res.stats["witness_count"] == res.stats["classes"] == 21
+    assert len(verify_star_min_von_neumann(5, witness_cap=3).witnesses) == 3
+
+
+def test_witness_cap_zero_renyi_star_min_with_counterexamples(monkeypatch):
+    calls = []
+
+    def star_first(vals, alpha):
+        # the first call computes the star's value; raise it above every class
+        calls.append(alpha)
+        return 100.0 if len(calls) == 1 else renyi_entropy(vals, alpha)
+
+    monkeypatch.setattr(verify, "renyi_entropy", star_first)
+    res = verify_renyi_star_min(5, 1.5, witness_cap=0)
+    assert not res.holds and res.witnesses == []
+    assert res.stats["witness_count"] == 21
+
+
+def test_witness_cap_zero_tree_extremes_with_counterexamples(monkeypatch):
+    # equal entropy everywhere: every tree but the path ties it
+    monkeypatch.setattr(verify, "shannon_entropy", lambda vals: 1.0)
+    res = verify_tree_extremes(7, witness_cap=0)
+    assert not res.holds and res.witnesses == []
+    assert len(verify_tree_extremes(7, witness_cap=4).witnesses) == 4
+    assert len(verify_tree_extremes(7, witness_cap=100).witnesses) == 10  # 11 trees
+
+
 # --- equal-entropy groups -----------------------------------------------------------
 
 
@@ -260,6 +325,24 @@ def test_param_validation():
         param_comparability(5, "girth")
 
 
+PARAM_FUNCS = {"matching": matching_number, "diameter": diameter, "max_degree": max_degree}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("param", sorted(PARAM_FUNCS))
+def test_param_comparability_matches_pair_loop(n, param):
+    rows = [
+        (PARAM_FUNCS[param](g), von_neumann_entropy(g), write_graph6(g))
+        for g in enumerate_graphs(n, connected_only=True)
+    ]
+    for cap in (0, 1, 50, 10**9):
+        got = param_comparability(n, param, cap=cap)
+        drops, rises, drop_count, rise_count = brute_param_pairs(rows, cap)
+        assert got.entropy_drops == drops
+        assert got.entropy_rises == rises
+        assert (got.drop_count, got.rise_count) == (drop_count, rise_count)
+
+
 # --- density test implication ------------------------------------------------------
 
 
@@ -288,11 +371,12 @@ def test_result_invariant_enforced():
             claim="x", order=3, universe="all", holds=True,
             extremal_graphs=[], witnesses=["A_"], stats={}, runtime=0.0,
         )
-    with pytest.raises(ValueError):
-        VerificationResult(
-            claim="x", order=3, universe="all", holds=False,
-            extremal_graphs=[], witnesses=[], stats={}, runtime=0.0,
-        )
+    # a failing claim may keep no witness (witness cap 0)
+    res = VerificationResult(
+        claim="x", order=3, universe="all", holds=False,
+        extremal_graphs=[], witnesses=[], stats={}, runtime=0.0,
+    )
+    assert not res.holds and res.witnesses == []
 
 
 def test_theorem_violation_is_runtime_error():
