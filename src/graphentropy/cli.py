@@ -191,36 +191,41 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # --- verify ----------------------------------------------------------------
 
 
-def _alpha(args: argparse.Namespace) -> float:
-    if not args.alpha:
-        raise ValueError(f"{args.claim} needs --alpha")
-    return float(args.alpha[0])
-
-
 def _coentropy_stats(args: argparse.Namespace, n: int, workers: int) -> dict:
     groups = coentropy_search(n, workers=workers)
     return {"group_count": len(groups), "groups": [asdict(grp) for grp in groups]}
 
 
-# claim -> runner(args, n, workers). A runner returns a VerificationResult,
-# or, for the two searches that give no verdict, the stats of a claim that holds
-CLAIMS: dict[str, Callable[[argparse.Namespace, int, int], VerificationResult | dict]] = {
-    "star-min-S": lambda a, n, w: verify_star_min_von_neumann(n, a.witness_cap, w),
-    "tree-extremes": lambda a, n, w: verify_tree_extremes(n, a.entropy, a.witness_cap),
-    "renyi-star-min": lambda a, n, w: verify_renyi_star_min(n, _alpha(a), a.witness_cap, w),
-    "renyi-max": lambda a, n, w: verify_renyi_max(n, _alpha(a), a.witness_cap, w),
-    "edge-add-decrease": lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w),
-    "coentropy": _coentropy_stats,
-    "param-compare": lambda a, n, w: _round12(asdict(param_comparability(n, a.param, workers=w))),
-    "density-implies-star": lambda a, n, w: verify_density_implies_star(n, w),
+# claim -> (takes one --alpha, runner(args, n, workers)). A runner returns a
+# VerificationResult, or, for the two searches that give no verdict, the stats
+# of a claim that holds
+_Runner = Callable[[argparse.Namespace, int, int], VerificationResult | dict]
+CLAIMS: dict[str, tuple[bool, _Runner]] = {
+    "star-min-S": (False, lambda a, n, w: verify_star_min_von_neumann(n, a.witness_cap, w)),
+    "tree-extremes": (False, lambda a, n, w: verify_tree_extremes(n, a.entropy, a.witness_cap)),
+    "renyi-star-min": (
+        True, lambda a, n, w: verify_renyi_star_min(n, a.alpha[0], a.witness_cap, w)
+    ),
+    "renyi-max": (True, lambda a, n, w: verify_renyi_max(n, a.alpha[0], workers=w)),
+    "edge-add-decrease": (False, lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w)),
+    "coentropy": (False, _coentropy_stats),
+    "param-compare": (
+        False, lambda a, n, w: _round12(asdict(param_comparability(n, a.param, workers=w)))
+    ),
+    "density-implies-star": (False, lambda a, n, w: verify_density_implies_star(n, w)),
 }
 
 
 def _run_claim(args: argparse.Namespace) -> VerificationResult:
     """Run one claim; a search without a verdict is timed here."""
     n = int(args.n)
+    takes_alpha, runner = CLAIMS[args.claim]
+    given = len(args.alpha or [])
+    if given != takes_alpha:
+        wanted = "one --alpha" if takes_alpha else "no --alpha"
+        raise ValueError(f"{args.claim} takes {wanted}, got {given}")
     t0 = time.perf_counter()
-    out = CLAIMS[args.claim](args, n, _threads(args))
+    out = runner(args, n, _threads(args))
     if isinstance(out, VerificationResult):
         return out
     runtime = time.perf_counter() - t0
@@ -324,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one registered claim check")
     p_ver.add_argument("claim", choices=CLAIMS)
     p_ver.add_argument("--n", required=True)
-    p_ver.add_argument("--alpha", action="append")
+    p_ver.add_argument("--alpha", type=float, action="append",
+                       help="Renyi order for renyi-star-min and renyi-max")
     p_ver.add_argument("--entropy", choices=["S", "H2"], default="S",
                        help="measure for tree-extremes")
     p_ver.add_argument("--param", choices=["matching", "diameter", "max_degree"],

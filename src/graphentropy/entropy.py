@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graphs import DegreeSequence, Graph, add_edges, degree_sequence, write_graph6
-from .spectral import DEFAULT_TOL, density_spectrum
+from .spectral import density_spectrum
 
 DIST_TOL = 1e-9
 
@@ -74,14 +74,14 @@ def renyi_entropy(p: Sequence[float], alpha: float) -> float:
     return (alpha * math.log2(top) + math.log2(power)) / (1.0 - alpha) + 0.0
 
 
-def von_neumann_entropy(g: Graph, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(g: Graph) -> float:
     """S(G): Shannon entropy of the scaled-Laplacian eigenvalues."""
-    return shannon_entropy(density_spectrum(g, tol=tol).values)
+    return shannon_entropy(density_spectrum(g).values)
 
 
-def graph_renyi_entropy(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> float:
+def graph_renyi_entropy(g: Graph, alpha: float) -> float:
     """H_alpha(G) over the scaled-Laplacian eigenvalues."""
-    return renyi_entropy(density_spectrum(g, tol=tol).values, alpha)
+    return renyi_entropy(density_spectrum(g).values, alpha)
 
 
 def star_entropy_closed(n: int) -> float:

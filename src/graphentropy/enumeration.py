@@ -33,6 +33,10 @@ form. Memory stays linear in the recursion depth; the emission order
 parent) is deterministic, including under the optional process-pool
 sharding.
 
+Trees. ``enumerate_trees`` walks level sequences with the WROM free-tree
+generator (Wright, Richmond, Odlyzko & McKay, "Constant time generation of
+free trees", SIAM J. Comput. 15, 1986); its trees are not in canonical form.
+
 Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
 replayed on later calls; larger orders are streamed and dropped.
@@ -45,7 +49,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from .graphs import (
@@ -455,26 +458,73 @@ def clear_census() -> None:
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All free trees on n vertices, one per isomorphism class.
+    """All free trees on n vertices, one per isomorphism class, by WROM.
 
-    Level-sequence successor generation (constant amortized time per tree),
-    provided by networkx; the single-vertex tree is handled directly.
+    Vertex i of each tree is entry i of its level sequence, and the trees
+    come in the order of networkx's ``nonisomorphic_trees``, which runs the
+    same algorithm.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"order must be in 1..64, got {n}")
     if n == 1:
         yield Graph(1, (0,), 0)
         return
-    if n == 2:
-        # the successor generator needs n >= 3; K_2 is the only tree here
-        yield Graph(2, (2, 1), 1)
-        return
-    for t in nx.nonisomorphic_trees(n):
+    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:  # starts at the path, rooted at its center
+        levels = _free_tree_candidate(levels)
         adj = [0] * n
-        for u, v in t.edges():
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        yield _graph_from_adj(n, tuple(adj))
+        ancestors: list[int] = []  # from the root to the previous vertex
+        for v, level in enumerate(levels):
+            del ancestors[level:]
+            if ancestors:
+                adj[v] |= 1 << ancestors[-1]
+                adj[ancestors[-1]] |= 1 << v
+            ancestors.append(v)
+        yield Graph(n, tuple(adj), n - 1)
+        levels = _next_rooted_tree(levels)
+
+
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a level sequence (None after the star).
+
+    Repeats the subtree of vertex p's parent over p..n-1; p defaults to the
+    last vertex not at level 1.
+    """
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    return levels[:p] + (levels[q:p] * len(levels))[: len(levels) - p]
+
+
+def _free_tree_candidate(levels: list[int]) -> list[int]:
+    """``levels`` if it is a free tree's canonical rooting, else the WROM jump.
+
+    Canonical: the root's first subtree, as a rooted tree, is no taller than
+    the rest of the tree; if as tall, no larger; if as large, not after it
+    lexicographically.
+    """
+    m = _second_subtree(levels)
+    left = [x - 1 for x in levels[1:m]]
+    rest = [0] + levels[m:]
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        return levels
+    jumped = _next_rooted_tree(levels, m - 1)
+    assert jumped is not None  # None comes only from the default p
+    if levels[m - 1] > 2:
+        h = max(jumped[1 : _second_subtree(jumped)])
+        jumped[-h:] = range(1, h + 1)
+    return jumped
+
+
+def _second_subtree(levels: list[int]) -> int:
+    """Index of the first vertex of the root's second subtree (n if none)."""
+    return levels.index(1, 2) if 1 in levels[2:] else len(levels)
 
 
 def stream_graph6(

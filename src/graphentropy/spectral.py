@@ -4,8 +4,9 @@ The density matrix of a graph with at least one edge is rho(G) = L(G) / d_G
 where d_G = 2m = tr L(G). Its spectrum is a probability distribution: the
 eigenvalues are nonnegative, sum to 1, and at least one is 0 (the all-ones
 kernel of L). Floating point only approximates that, so this module owns the
-tolerance policy: eigenvalues within ``tol`` of 0 are snapped to exactly 0,
-and anything below ``-tol`` is treated as a hard error rather than noise.
+tolerance policy: eigenvalues within ``DEFAULT_TOL`` of 0 are snapped to
+exactly 0, and anything below ``-DEFAULT_TOL`` is treated as a hard error
+rather than noise.
 """
 
 from __future__ import annotations
@@ -49,27 +50,28 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL) -> list[float]:
     return [float(x) for x in w[::-1]]
 
 
-def density_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
+def density_spectrum(g: Graph) -> Spectrum:
     """Spectrum of rho(G) = L(G)/d_G, cleaned to an exact distribution shape.
 
-    Raises for edgeless graphs (d_G = 0), for eigenvalues below ``-tol``
-    (L is positive semidefinite, so that would be a solver bug), and if the
-    cleaned values fail to sum to 1 within n*tol or lost the kernel zero.
+    Raises for edgeless graphs (d_G = 0), for eigenvalues below
+    ``-DEFAULT_TOL`` (L is positive semidefinite, so that would be a solver
+    bug), and if the cleaned values fail to sum to 1 within n*DEFAULT_TOL or
+    lost the kernel zero.
     """
     if g.m == 0:
         raise ValueError("density matrix undefined: graph has no edges")
     d = 2 * g.m
     vals = []
-    for x in eigenvalues_symmetric(laplacian(g), tol=tol):
+    for x in eigenvalues_symmetric(laplacian(g)):
         y = x / d
-        if y < -tol:
+        if y < -DEFAULT_TOL:
             raise ArithmeticError(f"negative eigenvalue {y} from a positive semidefinite matrix")
-        vals.append(0.0 if abs(y) <= tol else y)
-    if abs(math.fsum(vals) - 1.0) > g.n * tol:
+        vals.append(0.0 if abs(y) <= DEFAULT_TOL else y)
+    if abs(math.fsum(vals) - 1.0) > g.n * DEFAULT_TOL:
         raise ArithmeticError("cleaned spectrum does not sum to 1")
     if vals[-1] != 0.0:
         raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")
-    return Spectrum(tuple(vals), tol)
+    return Spectrum(tuple(vals), DEFAULT_TOL)
 
 
 def density_spectra(rows: np.ndarray) -> np.ndarray:
@@ -77,7 +79,7 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
 
     ``rows`` is a (B, n) array of adjacency bitmasks, one graph per row (a
     census block's ``rows``). Returns a (B, n) array whose row i equals
-    ``density_spectrum`` of graph i at the default tolerance, bit for bit,
+    ``density_spectrum`` of graph i, bit for bit,
     with the same tolerance policy and errors. The Laplacian's off-diagonal
     zeros must be +0.0: with -0.0 the stacked eigensolve drifts in the last bits.
     """

@@ -102,20 +102,22 @@ def _result(
 
 
 class _Extremes:
-    """Track a running min (or max) plus everything tied within eps."""
+    """Track a running min (or max) plus everything tied within eps, in scan
+    order. With eps=0, Fraction values are compared exactly."""
 
     def __init__(self, biggest: bool = False, eps: float = EPS) -> None:
         self.biggest = biggest
         self.eps = eps
         self.value: float | None = None
+        self.limit = math.inf  # value + eps: offers up to it are ties
         self.ties: list[tuple[float, str]] = []
 
     def offer(self, value: float, tag: str) -> None:
         v = -value if self.biggest else value
         if self.value is None or v < self.value:
-            self.value = v
-            self.ties = [t for t in self.ties if (-t[0] if self.biggest else t[0]) <= v + self.eps]
-        if v <= self.value + self.eps:
+            self.value, self.limit = v, v + self.eps
+            self.ties = [t for t in self.ties if (-t[0] if self.biggest else t[0]) <= self.limit]
+        if v <= self.limit:
             self.ties.append((value, tag))
 
     def best(self) -> float:
@@ -230,94 +232,51 @@ def verify_tree_extremes(
         raise ValueError("entropy must be 'S' or 'H2'")
     _check_cap(witness_cap)
     t0 = time.perf_counter()
-    classes = 0
-    if entropy == "H2":
+    exact = entropy == "H2"
+    top = _Extremes(biggest=True, eps=0 if exact else EPS)
+    bottom = _Extremes(eps=0 if exact else EPS)
+    rows: list[tuple[Fraction | float, str]] = []
+    for g in enumerate_trees(n):
+        value = tr2(degree_sequence(g)) if exact else shannon_entropy(density_spectrum(g).values)
+        g6 = _canon_g6(g)
+        if _is_star(g):
+            star_value = value
+        if _is_path(g):
+            path_value, path_g6 = value, g6
+        top.offer(value, g6)
+        bottom.offer(value, g6)
+        rows.append((value, g6))
+    if exact:
         # smaller tr2 = larger H_2. Star must have the strictly largest tr2,
         # path the strictly smallest, over all trees.
-        star_t: Fraction | None = None
-        path_t: Fraction | None = None
-        best: tuple[Fraction, str] | None = None  # largest tr2
-        least: tuple[Fraction, str] | None = None
-        best_unique = least_unique = True
-        for g in enumerate_trees(n):
-            classes += 1
-            t = tr2(degree_sequence(g))
-            g6 = _canon_g6(g)
-            if _is_star(g):
-                star_t = t
-            if _is_path(g):
-                path_t = t
-            if best is None or t > best[0]:
-                best = (t, g6)
-                best_unique = True
-            elif t == best[0]:
-                best_unique = False
-            if least is None or t < least[0]:
-                least = (t, g6)
-                least_unique = True
-            elif t == least[0]:
-                least_unique = False
-        assert star_t is not None and path_t is not None and best and least
-        if not (best[0] == star_t and best_unique):
+        if not (top.best() == star_value and len(top.tags()) == 1):
             raise TheoremViolation(
                 f"star is not the unique H_2 minimizer among trees on {n} vertices"
             )
-        if not (least[0] == path_t and least_unique):
+        if not (bottom.best() == path_value and len(bottom.tags()) == 1):
             raise TheoremViolation(
                 f"path is not the unique H_2 maximizer among trees on {n} vertices"
             )
         stats = {
-            "classes": classes,
-            "star_tr2": str(star_t),
-            "path_tr2": str(path_t),
+            "classes": len(rows),
+            "star_tr2": str(star_value),
+            "path_tr2": str(path_value),
             "exact": True,
         }
-        return VerificationResult(
-            claim="tree-extremes",
-            order=n,
-            universe="trees",
-            holds=True,
-            extremal_graphs=[best[1], least[1]],
-            witnesses=[],
-            stats=stats,
-            runtime=time.perf_counter() - t0,
-        )
+        extremal = top.tags() + bottom.tags()
+        return _result("tree-extremes", n, t0, stats, extremal_graphs=extremal, universe="trees")
 
     # entropy == "S": is the path the unique maximizer of S among trees?
-    path_s: float | None = None
-    path_g6 = ""
-    top = _Extremes(biggest=True)
-    bottom = _Extremes()
-    rows: list[tuple[float, str]] = []
-    for g in enumerate_trees(n):
-        classes += 1
-        s = shannon_entropy(density_spectrum(g).values)
-        g6 = _canon_g6(g)
-        if _is_path(g):
-            path_s, path_g6 = s, g6
-        top.offer(s, g6)
-        bottom.offer(s, g6)
-        rows.append((s, g6))
-    assert path_s is not None
-    witnesses = [g6 for s, g6 in rows if g6 != path_g6 and s >= path_s - EPS]
-    holds = not witnesses
-    witnesses = witnesses[:witness_cap]
+    witnesses = [g6 for s, g6 in rows if g6 != path_g6 and s >= path_value - EPS]
     stats = {
-        "classes": classes,
-        "path_entropy": path_s,
+        "classes": len(rows),
+        "path_entropy": path_value,
         "max_entropy": top.best(),
         "min_entropy": bottom.best(),
         "min_graphs": bottom.tags(),
     }
-    return VerificationResult(
-        claim="tree-extremes",
-        order=n,
-        universe="trees",
-        holds=holds,
-        extremal_graphs=top.tags(),
-        witnesses=witnesses,
-        stats=stats,
-        runtime=time.perf_counter() - t0,
+    return _result(
+        "tree-extremes", n, t0, stats, not witnesses, top.tags(), witnesses[:witness_cap], "trees"
     )
 
 
@@ -351,20 +310,14 @@ def verify_renyi_star_min(
     t0 = time.perf_counter()
     classes = 0
     star_t: Fraction | None = None
-    best: tuple[Fraction, str] | None = None
-    best_unique = True
+    most = _Extremes(biggest=True, eps=0)
     for d, g6 in _degrees(n, workers):
         classes += 1
         t = tr2(d)
         if d.d_sum == 2 * n - 2 and max(d.degrees) == n - 1:
             star_t = t
-        if best is None or t > best[0]:
-            best = (t, g6)
-            best_unique = True
-        elif t == best[0]:
-            best_unique = False
-    assert star_t is not None and best is not None
-    if not (best[0] == star_t and best_unique):
+        most.offer(t, g6)
+    if not (most.best() == star_t and len(most.tags()) == 1):
         raise TheoremViolation(
             f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
         )
@@ -373,14 +326,12 @@ def verify_renyi_star_min(
         "alpha": 2.0,
         "star_tr2": str(star_t),
         "exact": True,
-        "unique": best_unique,
+        "unique": True,
     }
-    return _result("renyi-star-min", n, t0, stats, extremal_graphs=[best[1]])
+    return _result("renyi-star-min", n, t0, stats, extremal_graphs=most.tags())
 
 
-def verify_renyi_max(
-    n: int, alpha: float, witness_cap: int = DEFAULT_WITNESS_CAP, workers: int = 1
-) -> VerificationResult:
+def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResult:
     """H_alpha(G) <= log2(n-1) over all graphs with an edge, zero only at K2+isolates.
 
     Both parts are proved, so violations raise TheoremViolation; the result
@@ -390,7 +341,6 @@ def verify_renyi_max(
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_cap(witness_cap)
     t0 = time.perf_counter()
     bound = math.log2(n - 1)
     top = _Extremes(biggest=True)
@@ -544,39 +494,29 @@ class CoentropyGroup:
     distinct_spectra: int
 
 
-def coentropy_search(
-    n: int,
-    group_tol: float = EPS,
-    spectra_tol: float = 1e-7,
-    workers: int = 1,
-) -> list[CoentropyGroup]:
+def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
     """Groups of connected graphs with equal S but different rho-spectra.
 
     Sort-then-sweep on S: a candidate group is a run of the sorted float64
-    values of S whose consecutive gaps are all within min(group_tol, 1e-12)
-    (the values are not recomputed in higher precision). So ``group_tol``
-    changes the groups only when it is below 1e-12; the default 1e-9 gives
-    runs within 1e-12. A group is kept only if some member pair differs by
-    more than ``spectra_tol`` in a sorted spectrum entry.
+    values of S whose consecutive gaps are all within 1e-12 (the values are
+    not recomputed in higher precision). A group is kept only if some member
+    pair differs by more than 1e-7 in a sorted spectrum entry.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rows = sorted((shannon_entropy(vals), g6) for vals, g6 in _spectra(n, workers))
-    # a group_tol cluster sub-split at 1e-12 is a run whose consecutive
-    # gaps are within both tolerances
-    tol = min(group_tol, 1e-12)
     groups: list[CoentropyGroup] = []
     i = 0
     while i < len(rows):
         j = i + 1
-        while j < len(rows) and rows[j][0] - rows[j - 1][0] <= tol:
+        while j < len(rows) and rows[j][0] - rows[j - 1][0] <= 1e-12:
             j += 1
         sub = rows[i:j]
         i = j
         if len(sub) < 2:
             continue
         specs = [density_spectrum(parse_graph6(g6)).values for _, g6 in sub]
-        distinct = _distinct_spectra(specs, spectra_tol)
+        distinct = _distinct_spectra(specs)
         if distinct > 1:
             groups.append(
                 CoentropyGroup(
@@ -588,10 +528,11 @@ def coentropy_search(
     return groups
 
 
-def _distinct_spectra(specs: list[tuple[float, ...]], tol: float) -> int:
+def _distinct_spectra(specs: list[tuple[float, ...]]) -> int:
+    """Classes of spectra that agree entrywise within 1e-7."""
     reps: list[tuple[float, ...]] = []
     for s in specs:
-        if not any(max(abs(a - b) for a, b in zip(s, r)) <= tol for r in reps):
+        if not any(max(abs(a - b) for a, b in zip(s, r)) <= 1e-7 for r in reps):
             reps.append(s)
     return len(reps)
 

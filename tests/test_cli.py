@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from graphentropy import verify
 from graphentropy.cli import _run_claim, _threads, main
 from graphentropy.enumeration import clear_census
 from graphentropy.entropy import star_entropy_closed
@@ -152,7 +153,9 @@ def test_verify_counterexamples_exit_three(capsys):
     "claim", ["edge-add-decrease", "star-min-S", "renyi-star-min", "tree-extremes"]
 )
 def test_verify_witness_cap_zero_and_negative(capsys, claim):
-    argv = ["verify", claim, "--n", "5", "--alpha", "1.5"]
+    argv = ["verify", claim, "--n", "5"]
+    if claim == "renyi-star-min":
+        argv += ["--alpha", "1.5"]
     rc, out, _ = run(capsys, *argv, "--witness-cap", "0")
     body = json.loads(out)
     assert body["witnesses"] == []
@@ -187,6 +190,22 @@ def test_verify_tree_extremes_h2(capsys):
 def test_verify_renyi_requires_alpha(capsys):
     rc, _, err = run(capsys, "verify", "renyi-star-min", "--n", "5")
     assert rc == 1 and "alpha" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star-min-S", "--alpha", "1.5"],
+        ["coentropy", "--alpha", "2"],
+        ["renyi-star-min", "--alpha", "1.5", "--alpha", "3"],
+        ["renyi-max", "--alpha", "2", "--alpha", "2"],
+    ],
+)
+def test_verify_rejects_unused_alpha(capsys, monkeypatch, argv):
+    # the check comes before any scan: enumerating would fail this test
+    monkeypatch.setattr(verify, "census", None)
+    rc, out, err = run(capsys, "verify", *argv, "--n", "5")
+    assert rc == 1 and out == "" and "--alpha" in err
 
 
 def test_verify_text_format(capsys):

@@ -1,9 +1,10 @@
-"""Byte-for-byte regression fingerprints at n = 7 and n = 8.
+"""Byte-for-byte regression fingerprints.
 
 Each value is the first 16 hex digits of a sha256 recorded on the code
 before the fold or generation step it guards was rewritten: the enumeration
 streams (graph6 word plus newline per class) and the stdout of every
-census-backed CLI command. A change to the enumeration order, to a fold, or
+census-backed CLI command at n = 7 and n = 8, and the tree stream for
+n = 1..16. A change to the enumeration order, to a fold, or
 to the float arithmetic behind them moves a digest.
 """
 
@@ -12,7 +13,7 @@ import hashlib
 import pytest
 
 from graphentropy.cli import main
-from graphentropy.enumeration import enumerate_graphs
+from graphentropy.enumeration import enumerate_graphs, enumerate_trees
 from graphentropy.graphs import is_connected, write_graph6
 
 
@@ -37,6 +38,13 @@ def test_enumeration_stream_fingerprint_order_8():
             connected.update(line)
     assert every.hexdigest()[:16] == "b5651e28ae739a5d"
     assert connected.hexdigest()[:16] == "00ef3b6950f5e39e"
+
+
+def test_tree_stream_fingerprint():
+    # labeled trees in generation order: tree-extremes reports ties and
+    # witnesses in this order, so its stdout depends on it
+    stream = "".join(write_graph6(t) + "\n" for n in range(1, 17) for t in enumerate_trees(n))
+    assert digest(stream) == "47e38e8cbb05621b"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import types
 
 import graphentropy
@@ -14,3 +16,9 @@ def test_star_import_binds_no_modules():
 def test_all_names_are_unique_and_public():
     assert len(set(graphentropy.__all__)) == len(graphentropy.__all__)
     assert not [name for name in graphentropy.__all__ if name.startswith("_")]
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, graphentropy; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -222,7 +222,6 @@ def test_edge_add_validation():
 CAPPED_ENGINES = {
     "star-min-S": lambda cap: verify_star_min_von_neumann(5, witness_cap=cap),
     "renyi-star-min": lambda cap: verify_renyi_star_min(5, 1.5, witness_cap=cap),
-    "renyi-max": lambda cap: verify_renyi_max(5, 3.0, witness_cap=cap),
     "tree-extremes": lambda cap: verify_tree_extremes(7, witness_cap=cap),
     "edge-add-decrease": lambda cap: edge_add_decrease_search(5, witness_cap=cap),
 }
