@@ -255,10 +255,8 @@ def k2n2_closed(n: int) -> tuple[float, float]:
     return before, after
 
 
-def entropy_augmentation(
-    g: Graph, k: int, x: float, tol: float = 1e-12
-) -> tuple[tuple[int, int], ...] | None:
-    """Smallest set A of at most k absent edges with S(G + A) >= x - tol.
+def entropy_augmentation(g: Graph, k: int, x: float) -> tuple[tuple[int, int], ...] | None:
+    """Smallest set A of at most k absent edges with S(G + A) >= x - 1e-12.
 
     Searches candidate sets in increasing size, lexicographic within a size,
     and returns the first hit (or None). An edgeless candidate graph counts
@@ -274,7 +272,7 @@ def entropy_augmentation(
         for combo in itertools.combinations(missing, size):
             h = add_edges(g, combo)
             s = von_neumann_entropy(h) if h.m > 0 else 0.0
-            if s >= x - tol:
+            if s >= x - 1e-12:
                 return combo
     return None
 

@@ -3,18 +3,23 @@
 Canonical form. The search is individualization-refinement: an equitable
 partition refinement splits vertices by their neighbor counts into splitter
 cells until stable, and where a non-singleton cell remains, each member is
-individualized in turn. Every leaf of that search tree is a vertex ordering;
-the canonical ordering is the leaf whose upper-triangle adjacency bits (in
-graph6 column order) are lexicographically smallest, the graph relabeled by
-it is the canonical representative, and its graph6 encoding is the
-canonical byte string. Isomorphic graphs have search trees that agree up
-to relabeling, so they get the same bytes. The minimum is taken over
-the leaves only, not over all n! orderings, so the bytes are in general not
-the smallest graph6 word of the class. Two leaves with the same encoding
-differ by an automorphism; discovered automorphisms prune sibling branches
-through their orbits, which keeps highly symmetric graphs (complete,
-complete bipartite) from exploding. Exact but exponential in the worst
-case; intended for the orders this package works at (n <= 16).
+individualized in turn. After individualizing v, only the new cell {v} and
+its remainder are queued as splitters: every other cell belongs to the
+equitable partition just refined, so its members' counts into any such cell
+already agree, in this and every finer partition, and skipping those no-op
+splitters changes neither the splits that act nor their order. Every leaf of
+that search tree is a vertex ordering; the canonical ordering is the leaf
+whose upper-triangle adjacency bits (in graph6 column order) are
+lexicographically smallest, the graph relabeled by it is the canonical
+representative, and its graph6 encoding, written straight from those bits,
+is the canonical byte string. Isomorphic graphs have search trees that agree
+up to relabeling, so they get the same bytes. The minimum is taken over the
+leaves only, not over all n! orderings, so the bytes are in general not the
+smallest graph6 word of the class. Two leaves with the same encoding differ
+by an automorphism; discovered automorphisms prune sibling branches through
+their orbits, which keeps highly symmetric graphs (complete, complete
+bipartite) from exploding. Exact but exponential in the worst case; intended
+for the orders this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -65,36 +70,46 @@ _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
 _AUT_CAP = 64  # keep at most this many discovered automorphisms per search
 
 
-def _refine(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], fresh: Iterable[int]
+) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
-    Repeatedly split every cell by its members' neighbor counts into each
-    splitter cell (sub-cells ordered by count); stops when stable. Cell order
-    is preserved, which is what makes the canonical search deterministic.
+    Splits every cell by its members' neighbor counts into a splitter cell
+    (sub-cells ordered by count, each queued as a splitter) until the queue
+    is empty; cell order is preserved, which is what makes the canonical
+    search deterministic. The queue starts with the cells at the indices
+    ``fresh`` only. The caller guarantees that every other cell is a cell of
+    an equitable partition that ``cells`` refines: the members of any cell
+    agree on their count into it, in ``cells`` and in every finer partition,
+    so as a splitter it would be a no-op. The queue pops from its end, so
+    leaving the no-ops out keeps the splits that act in the same order, and
+    the result is the one of queuing every cell. A cell is queued once, when
+    it is made, so no splitter is ever applied twice.
     """
-    cells = [list(c) for c in cells]
-    queue = [sum(1 << v for v in c) for c in cells]
+    queue = [sum(1 << v for v in cells[i]) for i in fresh]
     while queue:
         splitter = queue.pop()
         new_cells: list[list[int]] = []
-        changed = False
         for cell in cells:
             if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            k = (adj[cell[0]] & splitter).bit_count()
+            for v in cell:
+                if (adj[v] & splitter).bit_count() != k:
+                    break
+            else:  # uniform count: the cell stays whole
                 new_cells.append(cell)
                 continue
             by_count: dict[int, list[int]] = {}
             for v in cell:
                 by_count.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(by_count) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for k in sorted(by_count):
-                    sub = by_count[k]
-                    new_cells.append(sub)
-                    queue.append(sum(1 << v for v in sub))
-        if changed:
-            cells = new_cells
+            for k in sorted(by_count):
+                sub = by_count[k]
+                new_cells.append(sub)
+                queue.append(sum(1 << v for v in sub))
+        cells = new_cells
     return cells
 
 
@@ -161,16 +176,21 @@ def _canon_search(
                 rest = cells[idx + 1:]
                 head = cells[:idx]
                 done: set[int] = set()
+                # automorphisms that fix the current prefix pointwise; auts
+                # only grows, so only the ones found since are tested
+                stable: Auts = []
+                tested = 0
                 for v in cell:
                     if v in done:
                         continue
                     others = [u for u in cell if u != v]
-                    child = _refine(n, adj, head + [[v], others] + rest)
-                    search(child)
-                    # orbit closure of the tried candidates under automorphisms
-                    # that fix the current prefix pointwise
+                    # only {v} and its remainder can split a cell: the rest
+                    # are cells of the equitable partition ``cells``
+                    search(_refine(adj, head + [[v], others] + rest, (idx, idx + 1)))
+                    # orbit closure of the tried candidates under ``stable``
                     done.add(v)
-                    stable = [s for s in auts if all(s[p] == p for p in prefix)]
+                    stable += [s for s in auts[tested:] if all(s[p] == p for p in prefix)]
+                    tested = len(auts)
                     grew = True
                     while grew:
                         grew = False
@@ -182,7 +202,7 @@ def _canon_search(
                                     grew = True
         del prefix[len(prefix) - added:]
 
-    search(_refine(n, adj, [list(range(n))]))
+    search(_refine(adj, [list(range(n))], (0,)))
     assert best_perm is not None
     return tuple(best_cols), tuple(best_perm), auts
 
@@ -219,9 +239,24 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g (positions ordered by the smallest leaf encoding)."""
     if g.n > 16:
         raise ValueError("canonical forms are supported for n <= 16")
-    _, perm, _ = _canon_search(g.n, g.adj)
-    canon = _graph_from_adj(g.n, _relabel(g.n, g.adj, perm))
-    return CanonicalForm(write_graph6(canon).encode("ascii"))
+    cols, _, _ = _canon_search(g.n, g.adj)
+    return CanonicalForm(_graph6_from_cols(cols))
+
+
+def _graph6_from_cols(cols: tuple[int, ...]) -> bytes:
+    """graph6 bytes of the graph whose column j is ``cols[j]`` (n <= 62).
+
+    Columns 1..n-1 concatenated are the upper triangle in graph6 bit order;
+    the bits are padded with zeros to a multiple of 6 and each 6-bit group
+    becomes one byte plus 63.
+    """
+    n = len(cols)
+    acc = 0
+    for j in range(1, n):
+        acc = (acc << j) | cols[j]
+    nbytes = -(-n * (n - 1) // 12)
+    acc <<= 6 * nbytes - n * (n - 1) // 2
+    return bytes([63 + n] + [63 + ((acc >> (6 * i)) & 63) for i in range(nbytes - 1, -1, -1)])
 
 
 def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:

@@ -29,12 +29,12 @@ class Spectrum:
     tol: float
 
 
-def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL) -> list[float]:
+def eigenvalues_symmetric(mat) -> list[float]:
     """Eigenvalues of a symmetric matrix, descending.
 
-    Rejects non-square and (beyond ``tol`` relative to the Frobenius norm)
-    non-symmetric input; a defensive trace check guards against a silently
-    wrong decomposition.
+    Rejects non-square and (beyond ``DEFAULT_TOL`` relative to the Frobenius
+    norm) non-symmetric input; a defensive trace check guards against a
+    silently wrong decomposition.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -42,10 +42,10 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL) -> list[float]:
     if a.shape[0] < 1:
         raise ValueError("matrix must have at least one row")
     scale = max(1.0, float(np.linalg.norm(a)))
-    if not np.all(np.abs(a - a.T) <= tol * scale):
+    if not np.all(np.abs(a - a.T) <= DEFAULT_TOL * scale):
         raise ValueError("matrix is not symmetric within tolerance")
     w = np.linalg.eigvalsh(a)  # ascending; raises LinAlgError on failure
-    if abs(float(w.sum()) - float(np.trace(a))) > a.shape[0] * max(tol, 1e-15) * scale:
+    if abs(float(w.sum()) - float(np.trace(a))) > a.shape[0] * DEFAULT_TOL * scale:
         raise ArithmeticError("eigenvalue sum drifted from the trace")
     return [float(x) for x in w[::-1]]
 

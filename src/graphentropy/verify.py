@@ -48,7 +48,6 @@ from .graphs import (
     matching_number,
     max_degree,
     parse_graph6,
-    write_graph6,
 )
 from .spectral import density_spectra, density_spectrum
 
@@ -164,7 +163,7 @@ def _is_path(g: Graph) -> bool:
 def _canon_g6(g: Graph) -> str:
     # the tree generator does not emit canonical labelings; engines report
     # canonical graph6 words so outputs are comparable across engines
-    return write_graph6(canonical_form(g).graph())
+    return canonical_form(g).bytes.decode("ascii")
 
 
 def verify_star_min_von_neumann(

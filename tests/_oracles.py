@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, matchings by trying all edge
-subsets. Slow on purpose; keep the orders tiny.
+subsets, equitable partitions by re-scanning every cell for every splitter.
+Slow on purpose; keep the orders tiny.
 """
 
 from __future__ import annotations
@@ -109,6 +110,31 @@ def labeled_classes(n: int, connected_only: bool = False) -> set[int]:
         if not connected_only or _mask_connected(n, best):
             classes.add(best)
     return classes
+
+
+def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement that queues every cell and re-scans every cell
+    for every splitter, counting members' neighbors with a dict per cell.
+
+    Same splitting rule and queue order as the package's refinement (pop the
+    last queued splitter, sub-cells ordered by count and queued in that
+    order), with none of its shortcuts.
+    """
+    cells = [list(c) for c in cells]
+    queue = [sum(1 << v for v in c) for c in cells]
+    while queue:
+        splitter = queue.pop()
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            by_count: dict[int, list[int]] = {}
+            for v in cell:
+                by_count.setdefault(bin(adj[v] & splitter).count("1"), []).append(v)
+            for k in sorted(by_count):
+                new_cells.append(by_count[k])
+                if len(by_count) > 1:
+                    queue.append(sum(1 << v for v in by_count[k]))
+        cells = new_cells
+    return cells
 
 
 def brute_matching(g: Graph) -> int:

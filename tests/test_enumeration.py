@@ -25,7 +25,7 @@ from graphentropy.graphs import (
     write_graph6,
 )
 
-from _oracles import edge_mask, labeled_classes, min_mask
+from _oracles import edge_mask, labeled_classes, min_mask, reference_refine
 
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -90,6 +90,64 @@ def test_canonical_form_is_ordered_bytes():
     b = canonical_form(star(4))
     assert isinstance(a, CanonicalForm) and isinstance(a.bytes, bytes)
     assert (a < b) != (b < a)
+
+
+def random_ordered_partition(rng, n):
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [sorted(vertices[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_refine_matches_reference_on_random_partitions():
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        cells = random_ordered_partition(rng, n)
+        expected = reference_refine(g.adj, cells)
+        assert enumeration._refine(g.adj, cells, range(len(cells))) == expected
+
+
+def test_refine_from_individualized_cells_matches_reference():
+    # individualize each member of each non-singleton cell of an equitable
+    # partition, queue only {v} and its remainder, and descend the way the
+    # canonical search does, from the first non-singleton cell
+    def walk(adj, cells):
+        steps = 0
+        splits = [idx for idx, cell in enumerate(cells) if len(cell) > 1]
+        for idx in splits:
+            cell = cells[idx]
+            for v in cell:
+                split = cells[:idx] + [[v], [u for u in cell if u != v]] + cells[idx + 1:]
+                got = enumeration._refine(adj, split, (idx, idx + 1))
+                assert got == reference_refine(adj, split)
+                steps += 1
+                if idx == splits[0]:
+                    steps += walk(adj, got)
+        return steps
+
+    steps = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            root = enumeration._refine(g.adj, [list(range(n))], (0,))
+            assert root == reference_refine(g.adj, [list(range(n))])
+            steps += walk(g.adj, root)
+    assert steps > 1000
+
+
+def columns(g):
+    # column j of the identity ordering, earliest position most significant
+    return tuple(
+        sum(((g.adj[j] >> i) & 1) << (j - 1 - i) for i in range(j)) for j in range(g.n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_graph6_from_columns_matches_write_graph6(n):
+    rng = random.Random(24 + n)
+    for g in [from_edges(n, []), complete(n)] + [random_graph(rng, n) for _ in range(20)]:
+        assert enumeration._graph6_from_cols(columns(g)) == write_graph6(g).encode("ascii")
 
 
 # --- exhaustive generation ------------------------------------------------------

@@ -3,18 +3,21 @@
 Each value is the first 16 hex digits of a sha256 recorded on the code
 before the fold or generation step it guards was rewritten: the enumeration
 streams (graph6 word plus newline per class) and the stdout of every
-census-backed CLI command at n = 7 and n = 8, and the tree stream for
-n = 1..16. A change to the enumeration order, to a fold, or
-to the float arithmetic behind them moves a digest.
+census-backed CLI command at n = 7 and n = 8, the tree stream for
+n = 1..16, the canonical bytes of trees and relabeled graphs, and the stdout
+of tree-extremes at n = 12. A change to the enumeration order, to the
+canonical search, to a fold, or to the float arithmetic behind them moves a
+digest.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from graphentropy.cli import main
-from graphentropy.enumeration import enumerate_graphs, enumerate_trees
-from graphentropy.graphs import is_connected, write_graph6
+from graphentropy.enumeration import canonical_form, enumerate_graphs, enumerate_trees
+from graphentropy.graphs import from_edges, is_connected, write_graph6
 
 
 def digest(text):
@@ -40,6 +43,22 @@ def test_enumeration_stream_fingerprint_order_8():
     assert connected.hexdigest()[:16] == "00ef3b6950f5e39e"
 
 
+def test_canonical_bytes_fingerprint():
+    # canonical bytes of every tree on 1..14 vertices, then of every class on
+    # 7 vertices under one seeded relabeling
+    stream = hashlib.sha256()
+    for n in range(1, 15):
+        for t in enumerate_trees(n):
+            stream.update(canonical_form(t).bytes + b"\n")
+    rng = random.Random(7)
+    for g in enumerate_graphs(7):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        stream.update(canonical_form(h).bytes + b"\n")
+    assert stream.hexdigest()[:16] == "5857c05b52e4c836"
+
+
 def test_tree_stream_fingerprint():
     # labeled trees in generation order: tree-extremes reports ties and
     # witnesses in this order, so its stdout depends on it
@@ -61,6 +80,8 @@ def test_tree_stream_fingerprint():
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
         ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
         ("table1 --n 2..7", "28ca38400e1d8b2f"),
+        ("verify tree-extremes --n 12", "61391221a06dc97d"),
+        ("verify tree-extremes --n 12 --entropy H2", "7b85df74914ab011"),
     ],
 )
 def test_cli_stdout_fingerprint(capsys, argv, expected):
