@@ -39,8 +39,10 @@ from .graphs import (
     write_graph6,
 )
 from .verify import (
+    DEFAULT_WITNESS_CAP,
     TheoremViolation,
     VerificationResult,
+    _result,
     coentropy_search,
     edge_add_decrease_search,
     param_comparability,
@@ -99,11 +101,8 @@ def _family_graph(family: str, spec: str) -> Graph:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    """Worker count from --threads or GEL_THREADS, clamped to 1..cpu_count."""
-    wanted = getattr(args, "threads", None)
-    if wanted is None:
-        wanted = int(os.environ.get("GEL_THREADS") or 1)
-    return max(1, min(wanted, os.cpu_count() or 1))
+    """Worker count from --threads (default 1), clamped to 1..cpu_count."""
+    return max(1, min(args.threads or 1, os.cpu_count() or 1))
 
 
 # --- entropy ---------------------------------------------------------------
@@ -136,6 +135,19 @@ def _iter_input_graphs(args: argparse.Namespace) -> Iterable[Graph]:
             yield from stream_graph6(fh)
 
 
+def _write_csv(rows: Iterable[dict]) -> None:
+    """Rows as CSV on stdout under a header of the first row's keys; every
+    line ends in a bare newline, as in the other formats."""
+    import csv  # here, so that no other command loads it
+
+    writer = None
+    for row in rows:
+        if writer is None:
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(row), lineterminator="\n")
+            writer.writeheader()
+        writer.writerow(row)
+
+
 def _cmd_entropy(args: argparse.Namespace) -> int:
     alphas = [float(a) for a in args.alpha] if args.alpha else []
     rows = (_report_row(g, alphas) for g in _iter_input_graphs(args))
@@ -143,14 +155,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         for row in rows:
             print(json.dumps(row))
     elif args.format == "csv":
-        import csv
-
-        writer = None
-        for row in rows:
-            if writer is None:
-                writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
-                writer.writeheader()
-            writer.writerow(row)
+        _write_csv(rows)
     else:
         for row in rows:
             bits = [f"{k}={row[k]}" for k in row]
@@ -178,9 +183,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         for row in rows:
             print(json.dumps(row))
     elif args.format == "csv":
-        print("n,failures,total")
-        for row in rows:
-            print(f"{row['n']},{row['failures']},{row['total']}")
+        _write_csv(rows)
     else:
         print(f"{'n':>3} {'failures':>9} {'total':>9}")
         for row in rows:
@@ -209,9 +212,7 @@ CLAIMS: dict[str, tuple[bool, _Runner]] = {
     "renyi-max": (True, lambda a, n, w: verify_renyi_max(n, a.alpha[0], workers=w)),
     "edge-add-decrease": (False, lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w)),
     "coentropy": (False, _coentropy_stats),
-    "param-compare": (
-        False, lambda a, n, w: _round12(asdict(param_comparability(n, a.param, workers=w)))
-    ),
+    "param-compare": (False, lambda a, n, w: asdict(param_comparability(n, a.param, workers=w))),
     "density-implies-star": (False, lambda a, n, w: verify_density_implies_star(n, w)),
 }
 
@@ -226,10 +227,7 @@ def _run_claim(args: argparse.Namespace) -> VerificationResult:
         raise ValueError(f"{args.claim} takes {wanted}, got {given}")
     t0 = time.perf_counter()
     out = runner(args, n, _threads(args))
-    if isinstance(out, VerificationResult):
-        return out
-    runtime = time.perf_counter() - t0
-    return VerificationResult(args.claim, n, "connected", True, [], [], out, runtime)
+    return out if isinstance(out, VerificationResult) else _result(args.claim, n, t0, out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -335,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="measure for tree-extremes")
     p_ver.add_argument("--param", choices=["matching", "diameter", "max_degree"],
                        default="diameter", help="parameter for param-compare")
-    p_ver.add_argument("--witness-cap", type=int, default=1000)
+    p_ver.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
     p_ver.add_argument("--format", choices=["json", "text"], default="json")
     p_ver.add_argument("--threads", type=int)
     p_ver.set_defaults(func=_cmd_verify)

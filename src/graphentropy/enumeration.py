@@ -11,8 +11,9 @@ splitters changes neither the splits that act nor their order. Every leaf of
 that search tree is a vertex ordering; the canonical ordering is the leaf
 whose upper-triangle adjacency bits (in graph6 column order) are
 lexicographically smallest, the graph relabeled by it is the canonical
-representative, and its graph6 encoding, written straight from those bits,
-is the canonical byte string. Isomorphic graphs have search trees that agree
+representative, and its graph6 encoding, written straight from those bits
+by ``graphs._graph6_bytes`` (the package's one graph6 encoder), is the
+canonical byte string. Isomorphic graphs have search trees that agree
 up to relabeling, so they get the same bytes. The minimum is taken over the
 leaves only, not over all n! orderings, so the bytes are in general not the
 smallest graph6 word of the class. Two leaves with the same encoding differ
@@ -60,6 +61,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     _bit_vertices,
+    _graph6_bytes,
     _graph_from_adj,
     is_connected,
     parse_graph6,
@@ -240,23 +242,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > 16:
         raise ValueError("canonical forms are supported for n <= 16")
     cols, _, _ = _canon_search(g.n, g.adj)
-    return CanonicalForm(_graph6_from_cols(cols))
-
-
-def _graph6_from_cols(cols: tuple[int, ...]) -> bytes:
-    """graph6 bytes of the graph whose column j is ``cols[j]`` (n <= 62).
-
-    Columns 1..n-1 concatenated are the upper triangle in graph6 bit order;
-    the bits are padded with zeros to a multiple of 6 and each 6-bit group
-    becomes one byte plus 63.
-    """
-    n = len(cols)
-    acc = 0
-    for j in range(1, n):
-        acc = (acc << j) | cols[j]
-    nbytes = -(-n * (n - 1) // 12)
-    acc <<= 6 * nbytes - n * (n - 1) // 2
-    return bytes([63 + n] + [63 + ((acc >> (6 * i)) & 63) for i in range(nbytes - 1, -1, -1)])
+    body = 0
+    for j in range(1, g.n):  # columns 1..n-1 concatenated: the graph6 body
+        body = (body << j) | cols[j]
+    return CanonicalForm(_graph6_bytes(g.n, body))
 
 
 def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:

@@ -10,6 +10,9 @@ This module also provides the graph6 codec (size byte(s), then the upper
 triangle x(0,1), x(0,2), x(1,2), ... packed big-endian into 6-bit chunks,
 each offset by 63), the standard families used throughout (stars, paths,
 complete and complete bipartite graphs), and basic structural invariants.
+``_graph6_bytes`` is the one graph6 encoder: it packs a triangle given as
+one integer, and serves both ``write_graph6`` and
+``enumeration.canonical_form``.
 """
 
 from __future__ import annotations
@@ -149,25 +152,11 @@ def _graph_from_adj(n: int, adj: Iterable[int]) -> Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given edges; rejects loops and duplicates."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
-    adj = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if (adj[u] >> v) & 1:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _graph_from_adj(n, adj)
+    return add_edges(empty_graph(n), edges)
 
 
 def empty_graph(n: int) -> Graph:
     """The edgeless graph on n vertices."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
     return Graph(n, (0,) * n, 0)
 
 
@@ -204,32 +193,24 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts {0..a-1} and {a..a+b-1}."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    if a + b > MAX_VERTICES:
+    if a + b > MAX_VERTICES:  # before the a*b edge list is built
         raise ValueError(f"order {a + b} exceeds {MAX_VERTICES}")
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """g plus the edge uv; the edge must be absent and u != v."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError(f"loop at vertex {u}")
-    if g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) already present")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj), g.m + 1)
+    return add_edges(g, ((u, v),))
 
 
 def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """g plus several new edges, all of which must be absent and distinct."""
+    n = g.n
     adj = list(g.adj)
     added = 0
     for u, v in edges:
-        g._check_vertex(u)
-        g._check_vertex(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if (adj[u] >> v) & 1:
@@ -237,7 +218,7 @@ def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         added += 1
-    return Graph(g.n, tuple(adj), g.m + added)
+    return Graph(n, tuple(adj), g.m + added)
 
 
 def disjoint_union(parts: Iterable[Graph]) -> Graph:
@@ -246,8 +227,6 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
     if not parts:
         raise ValueError("disjoint union of no graphs")
     n = sum(p.n for p in parts)
-    if n > MAX_VERTICES:
-        raise ValueError(f"union order {n} exceeds {MAX_VERTICES}")
     adj: list[int] = []
     offset = 0
     for p in parts:
@@ -355,34 +334,31 @@ def matching_number(g: Graph) -> int:
 # --- graph6 codec ---------------------------------------------------------
 
 
-def _triangle_bits(g: Graph) -> Iterator[int]:
-    # upper triangle in column order: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            yield (col >> i) & 1
+def _graph6_bytes(n: int, body: int) -> bytes:
+    """graph6 bytes of the order-n graph whose upper triangle is ``body``.
+
+    ``body`` holds the n(n-1)/2 triangle bits in graph6 order, x(0,1) most
+    significant. It is padded with zeros to a multiple of 6 bits, and each
+    6-bit group becomes one byte plus 63, after the 1-byte size (n <= 62) or
+    the 4-byte size form ('~' and 18 bits, 63 <= n <= 258047).
+    """
+    nbits = n * (n - 1) // 2
+    nbytes = -(-nbits // 6)
+    body <<= 6 * nbytes - nbits
+    size = [63 + n] if n <= 62 else [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    return bytes(size + [63 + ((body >> (6 * i)) & 63) for i in range(nbytes - 1, -1, -1)])
 
 
 def write_graph6(g: Graph) -> str:
     """Encode g in graph6 (no header, no trailing newline)."""
-    if g.n <= 62:
-        out = [chr(63 + g.n)]
-    else:
-        # 4-byte size form covers 63 <= n <= 258047; we only ever reach 64
-        out = ["~", chr(63 + (g.n >> 12)), chr(63 + ((g.n >> 6) & 63)), chr(63 + (g.n & 63))]
-    acc = 0
-    nbits = 0
-    for bit in _triangle_bits(g):
-        acc = (acc << 1) | bit
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(63 + acc))
-            acc = 0
-            nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return "".join(out)
+    # adj[j] below bit j is column j of the triangle with x(0,j) lowest, so
+    # the columns stacked last-first hold the body with its bits reversed
+    n = g.n
+    flipped = 0
+    for j in range(n - 1, 0, -1):
+        flipped = (flipped << j) | (g.adj[j] & ((1 << j) - 1))
+    body = int(f"{flipped:0{n * (n - 1) // 2}b}"[::-1], 2)
+    return _graph6_bytes(n, body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

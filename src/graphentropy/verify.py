@@ -78,9 +78,26 @@ class VerificationResult:
             raise ValueError("a claim that holds has no witnesses")
 
 
-def _check_cap(witness_cap: int) -> None:
-    if witness_cap < 0:
-        raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
+class _Witnesses:
+    """The witnesses of one scan: an exact count, and the first ``cap`` kept in
+    scan order."""
+
+    def __init__(self, cap: int) -> None:
+        if cap < 0:
+            raise ValueError(f"witness cap must be >= 0, got {cap}")
+        self.cap = cap
+        self.count = 0
+        self.kept: list = []
+
+    def wants(self) -> bool:
+        """Count one witness; True while fewer than ``cap`` are kept, so a
+        caller builds only the items it keeps."""
+        self.count += 1
+        return len(self.kept) < self.cap
+
+    def add(self, item: object) -> None:
+        if self.wants():
+            self.kept.append(item)
 
 
 def _result(
@@ -175,9 +192,9 @@ def verify_star_min_von_neumann(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_cap(witness_cap)
+    found = _Witnesses(witness_cap)
     return _star_min_scan(
-        "star-min-S", n, shannon_entropy, star_entropy_closed(n), {}, witness_cap, workers
+        "star-min-S", n, shannon_entropy, star_entropy_closed(n), {}, found, workers
     )
 
 
@@ -187,31 +204,27 @@ def _star_min_scan(
     measure: Callable[[Sequence[float]], float],
     target: float,
     params: dict,
-    witness_cap: int,
+    found: _Witnesses,
     workers: int,
 ) -> VerificationResult:
     """Scan connected graphs for measure(rho(G)) < target - 1e-9 (the star's value)."""
     t0 = time.perf_counter()
     extremes = _Extremes()
-    witnesses: list[str] = []
-    witness_count = 0
     classes = 0
     for vals, g6 in _spectra(n, workers):
         classes += 1
         h = measure(vals)
         extremes.offer(h, g6)
         if h < target - EPS:
-            witness_count += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(g6)
+            found.add(g6)
     stats = {
         "classes": classes,
         **params,
         "min_entropy": extremes.best(),
         "star_entropy": target,
-        "witness_count": witness_count,
+        "witness_count": found.count,
     }
-    return _result(claim, n, t0, stats, witness_count == 0, extremes.tags(), witnesses)
+    return _result(claim, n, t0, stats, found.count == 0, extremes.tags(), found.kept)
 
 
 def verify_tree_extremes(
@@ -229,7 +242,7 @@ def verify_tree_extremes(
         raise ValueError("need n >= 3")
     if entropy not in ("S", "H2"):
         raise ValueError("entropy must be 'S' or 'H2'")
-    _check_cap(witness_cap)
+    found = _Witnesses(witness_cap)
     t0 = time.perf_counter()
     exact = entropy == "H2"
     top = _Extremes(biggest=True, eps=0 if exact else EPS)
@@ -266,7 +279,9 @@ def verify_tree_extremes(
         return _result("tree-extremes", n, t0, stats, extremal_graphs=extremal, universe="trees")
 
     # entropy == "S": is the path the unique maximizer of S among trees?
-    witnesses = [g6 for s, g6 in rows if g6 != path_g6 and s >= path_value - EPS]
+    for s, g6 in rows:
+        if g6 != path_g6 and s >= path_value - EPS:
+            found.add(g6)
     stats = {
         "classes": len(rows),
         "path_entropy": path_value,
@@ -275,7 +290,7 @@ def verify_tree_extremes(
         "min_graphs": bottom.tags(),
     }
     return _result(
-        "tree-extremes", n, t0, stats, not witnesses, top.tags(), witnesses[:witness_cap], "trees"
+        "tree-extremes", n, t0, stats, found.count == 0, top.tags(), found.kept, "trees"
     )
 
 
@@ -293,7 +308,7 @@ def verify_renyi_star_min(
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_cap(witness_cap)
+    found = _Witnesses(witness_cap)
     if alpha != 2.0:
         d = 2 * n - 2  # rho(K_{1,n-1}): n/d once, 1/d with multiplicity n-2, and 0
         target = renyi_entropy([n / d] + [1 / d] * (n - 2) + [0.0], alpha)
@@ -303,7 +318,7 @@ def verify_renyi_star_min(
             lambda vals: renyi_entropy(vals, alpha),
             target,
             {"alpha": alpha},
-            witness_cap,
+            found,
             workers,
         )
     t0 = time.perf_counter()
@@ -428,11 +443,8 @@ def edge_add_decrease_search(
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    _check_cap(witness_cap)
+    found = _Witnesses(witness_cap)
     t0 = time.perf_counter()
-    witnesses: list[str] = []
-    pairs: list[dict] = []
-    pair_count = 0
     classes = 0
     k2n2_found = False
     min_bound_margin = math.inf
@@ -457,31 +469,25 @@ def edge_add_decrease_search(
                     f"S(G+e) fell below (d/(d+2))S(G) for G={g6}, e=({u},{v})"
                 )
             if s_after < s_before - EPS:
-                pair_count += 1
+                if found.wants():
+                    found.kept.append(
+                        {"graph6": g6, "edge": [u, v], "S_before": s_before, "S_after": s_after}
+                    )
                 if is_k2n2 and degs[u] == n - 2 and degs[v] == n - 2:
                     k2n2_found = True
-                if len(pairs) < witness_cap:
-                    pairs.append(
-                        {
-                            "graph6": g6,
-                            "edge": [u, v],
-                            "S_before": s_before,
-                            "S_after": s_after,
-                        }
-                    )
-                    witnesses.append(g6)
     if n >= 5 and not k2n2_found:
         raise TheoremViolation(
             f"the proved decrease witness (K_{{2,{n-2}}}, e) did not appear at n={n}"
         )
     stats = {
         "classes": classes,
-        "decrease_pairs": pair_count,
-        "pairs": pairs,
+        "decrease_pairs": found.count,
+        "pairs": found.kept,
         "k2n2_witness_found": k2n2_found,
         "min_bound_margin": min_bound_margin,
     }
-    return _result("edge-add-decrease", n, t0, stats, pair_count == 0, witnesses=witnesses)
+    witnesses = [p["graph6"] for p in found.kept]
+    return _result("edge-add-decrease", n, t0, stats, found.count == 0, witnesses=witnesses)
 
 
 @dataclass
@@ -627,7 +633,7 @@ def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
     classes = 0
     dense = 0
     star_pass = 0
-    converse_fails: list[str] = []
+    converse_fails = _Witnesses(10)
     for d, g6 in _degrees(n, workers):
         classes += 1
         d_ok = density_test(n, d.d_sum // 2)
@@ -640,12 +646,12 @@ def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
                 )
         if s_ok:
             star_pass += 1
-            if not d_ok and len(converse_fails) < 10:
-                converse_fails.append(g6)
+            if not d_ok:
+                converse_fails.add(g6)
     stats = {
         "classes": classes,
         "density_pass": dense,
         "star_pass": star_pass,
-        "star_pass_without_density": converse_fails,
+        "star_pass_without_density": converse_fails.kept,
     }
     return _result("density-implies-star", n, t0, stats)

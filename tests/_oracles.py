@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, matchings by trying all edge
-subsets, equitable partitions by re-scanning every cell for every splitter.
+subsets, equitable partitions by re-scanning every cell for every splitter,
+graph6 words by appending one triangle bit at a time.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -135,6 +136,28 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
                     queue.append(sum(1 << v for v in by_count[k]))
         cells = new_cells
     return cells
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """graph6 word of g, built one upper-triangle bit at a time in column
+    order x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per byte."""
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~", chr(63 + (g.n >> 12)), chr(63 + ((g.n >> 6) & 63)), chr(63 + (g.n & 63))]
+    acc = 0
+    nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.adj[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
 
 
 def brute_matching(g: Graph) -> int:

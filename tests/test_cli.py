@@ -55,6 +55,7 @@ def test_entropy_csv_agrees_with_json(capsys, tmp_path):
     rc_j, out_j, _ = run(capsys, "entropy", "--input", str(src), "--alpha", "2")
     rc_c, out_c, _ = run(capsys, "entropy", "--input", str(src), "--alpha", "2", "--format", "csv")
     assert rc_j == rc_c == 0
+    assert "\r" not in out_c
     jrows = json_lines(out_j)
     crows = list(csv.DictReader(io.StringIO(out_c)))
     assert len(jrows) == len(crows) == 3
@@ -117,7 +118,7 @@ def test_table1_emit_failing_empty_when_none(capsys, tmp_path):
 def test_table1_csv_and_text(capsys):
     rc, out, _ = run(capsys, "table1", "--n", "4", "--format", "csv")
     assert rc == 0
-    assert out.splitlines() == ["n,failures,total", "4,2,6"]
+    assert out == "n,failures,total\n4,2,6\n"
     rc, out, _ = run(capsys, "table1", "--n", "4", "--format", "text")
     assert rc == 0
     assert out.splitlines()[1].split() == ["4", "2", "6"]
@@ -242,14 +243,11 @@ def test_verify_reports_real_runtime(claim):
     assert _run_claim(args).runtime > 0
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch):
+def test_threads_clamped_to_cpu_count():
     # only _threads is called: no pool of this size is ever started
     cpus = os.cpu_count() or 1
     assert _threads(argparse.Namespace(threads=10**6)) == cpus
     assert _threads(argparse.Namespace(threads=0)) == 1
-    monkeypatch.setenv("GEL_THREADS", str(10**6))
-    assert _threads(argparse.Namespace(threads=None)) == cpus
-    monkeypatch.delenv("GEL_THREADS")
     assert _threads(argparse.Namespace(threads=None)) == 1
 
 

@@ -28,7 +28,7 @@ from graphentropy.graphs import (
     write_graph6,
 )
 
-from _oracles import brute_matching, edge_mask, min_mask
+from _oracles import brute_matching, edge_mask, min_mask, reference_write_graph6
 
 
 def random_graph(rng, n, p=0.5):
@@ -207,6 +207,14 @@ def test_graph6_large_orders():
             assert word.startswith("~")
         back = parse_graph6(word)
         assert back.adj == g.adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 62, 63, 64])
+def test_write_graph6_matches_bitwise_reference(n):
+    # 63 and 64 take the 4-byte size form
+    rng = random.Random(40 + n)
+    for g in [empty_graph(n), complete(n)] + [random_graph(rng, n) for _ in range(10)]:
+        assert write_graph6(g) == reference_write_graph6(g)
 
 
 def test_graph6_errors_name_offsets():

@@ -1,6 +1,10 @@
+import ast
+import importlib
+import inspect
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import graphentropy
 
@@ -22,3 +26,19 @@ def test_import_leaves_networkx_unloaded():
     code = "import sys, graphentropy; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_traced_functions_exist():
+    # the benchmark's tracer looks each (module, function) up unguarded
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    tree = ast.parse(child.read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    for module, name, is_generator in traced:
+        fn = getattr(importlib.import_module(f"graphentropy.{module}"), name)
+        assert callable(fn) and inspect.isgeneratorfunction(fn) == is_generator
