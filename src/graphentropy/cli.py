@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .entropy import entropy_augmentation, entropy_report
-from .enumeration import stream_graph6
+from .enumeration import CENSUS_MAX, stream_graph6
 from .graphs import (
     Graph,
     Graph6Error,
@@ -73,15 +73,13 @@ def _round12(obj):
     return obj
 
 
-def _parse_order_range(text: str) -> list[int]:
-    """'5' -> [5]; '2..8' -> [2, 3, ..., 8]."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo > hi:
-            raise ValueError(f"empty order range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_order_range(text: str) -> range:
+    """'5' -> range(5, 6); '2..8' -> range(2, 9), built lazily whatever its size."""
+    lo_s, sep, hi_s = text.partition("..")
+    lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    if lo > hi:
+        raise ValueError(f"empty order range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _family_graph(family: str, spec: str) -> Graph:
@@ -168,6 +166,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     orders = _parse_order_range(args.n)
+    if orders[-1] > CENSUS_MAX:  # before the first order is scanned
+        raise ValueError(f"table1 orders must be at most {CENSUS_MAX}, got {orders[-1]}")
     workers = _threads(args)
     rows = []
     failing_all: list[str] = []
@@ -199,32 +199,43 @@ def _coentropy_stats(args: argparse.Namespace, n: int, workers: int) -> dict:
     return {"group_count": len(groups), "groups": [asdict(grp) for grp in groups]}
 
 
-# claim -> (takes one --alpha, runner(args, n, workers)). A runner returns a
+# each optional verify flag and its default; the parser leaves a flag not given None
+_FLAG_DEFAULTS = {"alpha": None, "entropy": "S", "param": "diameter",
+                  "witness_cap": DEFAULT_WITNESS_CAP, "threads": None}
+
+# claim -> (the flags it reads, runner(args, n, workers)). A runner returns a
 # VerificationResult, or, for the two searches that give no verdict, the stats
 # of a claim that holds
 _Runner = Callable[[argparse.Namespace, int, int], VerificationResult | dict]
-CLAIMS: dict[str, tuple[bool, _Runner]] = {
-    "star-min-S": (False, lambda a, n, w: verify_star_min_von_neumann(n, a.witness_cap, w)),
-    "tree-extremes": (False, lambda a, n, w: verify_tree_extremes(n, a.entropy, a.witness_cap)),
-    "renyi-star-min": (
-        True, lambda a, n, w: verify_renyi_star_min(n, a.alpha[0], a.witness_cap, w)
-    ),
-    "renyi-max": (True, lambda a, n, w: verify_renyi_max(n, a.alpha[0], workers=w)),
-    "edge-add-decrease": (False, lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w)),
-    "coentropy": (False, _coentropy_stats),
-    "param-compare": (False, lambda a, n, w: asdict(param_comparability(n, a.param, workers=w))),
-    "density-implies-star": (False, lambda a, n, w: verify_density_implies_star(n, w)),
+CLAIMS: dict[str, tuple[tuple[str, ...], _Runner]] = {
+    "star-min-S": (("witness_cap", "threads"),
+                   lambda a, n, w: verify_star_min_von_neumann(n, a.witness_cap, w)),
+    "tree-extremes": (("entropy", "witness_cap"),
+                      lambda a, n, w: verify_tree_extremes(n, a.entropy, a.witness_cap)),
+    "renyi-star-min": (("alpha", "witness_cap", "threads"),
+                       lambda a, n, w: verify_renyi_star_min(n, a.alpha[0], a.witness_cap, w)),
+    "renyi-max": (("alpha", "threads"), lambda a, n, w: verify_renyi_max(n, a.alpha[0], w)),
+    "edge-add-decrease": (("witness_cap", "threads"),
+                          lambda a, n, w: edge_add_decrease_search(n, a.witness_cap, w)),
+    "coentropy": (("threads",), _coentropy_stats),
+    "param-compare": (("param", "threads"),
+                      lambda a, n, w: asdict(param_comparability(n, a.param, workers=w))),
+    "density-implies-star": (("threads",), lambda a, n, w: verify_density_implies_star(n, w)),
 }
 
 
 def _run_claim(args: argparse.Namespace) -> VerificationResult:
-    """Run one claim; a search without a verdict is timed here."""
+    """Run one claim after rejecting, before any scan, the flags it does not
+    read; a search without a verdict is timed here."""
     n = int(args.n)
-    takes_alpha, runner = CLAIMS[args.claim]
-    given = len(args.alpha or [])
-    if given != takes_alpha:
-        wanted = "one --alpha" if takes_alpha else "no --alpha"
-        raise ValueError(f"{args.claim} takes {wanted}, got {given}")
+    reads, runner = CLAIMS[args.claim]
+    for flag, default in _FLAG_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in reads:
+            raise ValueError(f"{args.claim} does not read --{flag.replace('_', '-')}")
+    if "alpha" in reads and len(args.alpha or []) != 1:
+        raise ValueError(f"{args.claim} takes exactly one --alpha, got {len(args.alpha or [])}")
     t0 = time.perf_counter()
     out = runner(args, n, _threads(args))
     return out if isinstance(out, VerificationResult) else _result(args.claim, n, t0, out)
@@ -329,11 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", required=True)
     p_ver.add_argument("--alpha", type=float, action="append",
                        help="Renyi order for renyi-star-min and renyi-max")
-    p_ver.add_argument("--entropy", choices=["S", "H2"], default="S",
-                       help="measure for tree-extremes")
+    p_ver.add_argument("--entropy", choices=["S", "H2"],
+                       help="measure for tree-extremes (default S)")
     p_ver.add_argument("--param", choices=["matching", "diameter", "max_degree"],
-                       default="diameter", help="parameter for param-compare")
-    p_ver.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
+                       help="parameter for param-compare (default diameter)")
+    p_ver.add_argument("--witness-cap", type=int, help=f"default {DEFAULT_WITNESS_CAP}")
     p_ver.add_argument("--format", choices=["json", "text"], default="json")
     p_ver.add_argument("--threads", type=int)
     p_ver.set_defaults(func=_cmd_verify)

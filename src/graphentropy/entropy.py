@@ -33,6 +33,7 @@ from .graphs import DegreeSequence, Graph, add_edges, degree_sequence, write_gra
 from .spectral import density_spectrum
 
 DIST_TOL = 1e-9
+_AUGMENT_MAX_SETS = 10**6  # candidate edge sets entropy_augmentation may try
 
 
 def _validated(p: Sequence[float]) -> list[float]:
@@ -261,13 +262,18 @@ def entropy_augmentation(g: Graph, k: int, x: float) -> tuple[tuple[int, int], .
     Searches candidate sets in increasing size, lexicographic within a size,
     and returns the first hit (or None). An edgeless candidate graph counts
     as entropy 0 by convention so the search can start from empty graphs.
-    Exponential in k; meant for small interactive instances.
+    Exponential in k; meant for small interactive instances. A search over
+    more than 10^6 candidate sets (sum over s <= k of C(absent edges, s))
+    raises ValueError before the first eigensolve.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     missing = g.non_edges()
     if k > len(missing):
         raise ValueError(f"k = {k} exceeds the {len(missing)} absent edges")
+    sets = sum(math.comb(len(missing), s) for s in range(k + 1))
+    if sets > _AUGMENT_MAX_SETS:
+        raise ValueError(f"k = {k} asks for {sets} candidate edge sets, over {_AUGMENT_MAX_SETS}")
     for size in range(k + 1):
         for combo in itertools.combinations(missing, size):
             h = add_edges(g, combo)

@@ -45,7 +45,7 @@ free trees", SIAM J. Comput. 15, 1986); its trees are not in canonical form.
 
 Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
-replayed on later calls; larger orders are streamed and dropped.
+replayed on later calls; larger ones, to ``CENSUS_MAX``, stream and are dropped.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .graphs import (
     Graph6Error,
     _bit_vertices,
     _graph6_bytes,
-    _graph_from_adj,
     is_connected,
     parse_graph6,
     write_graph6,
@@ -267,6 +266,10 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
     vertex may yield a smaller deletion canon than canon(child - new) ==
     canon(parent). This makes each child reachable from exactly one parent
     class; duplicates within one parent are removed by the caller.
+
+    Precondition: the new vertex already has minimum degree. ``_children``
+    skips every attachment set that breaks it, so only the vertices of
+    equal degree are compared here.
     """
     degs = [a.bit_count() for a in adjc]
     vnew = nc - 1
@@ -274,11 +277,8 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
     ties = []
     inv_new: list[int] | None = None
     for v in range(vnew):
-        dv = degs[v]
-        if dv > dn:
+        if degs[v] > dn:
             continue
-        if dv < dn:
-            return False
         if inv_new is None:
             row = adjc[vnew]
             inv_new = sorted(degs[u] for u in _bit_vertices(row))
@@ -332,15 +332,14 @@ def _children(
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Auts]]:
     """Accepted, deduplicated children of a canonical representative.
 
-    Returns (m, adjacency, columns, automorphisms) for the canonically
-    relabeled children on k+1 vertices, sorted by (m, adjacency). ``auts``
-    are automorphisms of ``adj``; attachment sets in one orbit under them
-    give isomorphic children with the new vertex fixed (all accepted or all
-    rejected, with one canonical form), so only one set per orbit is tried.
+    Returns (new vertex degree, adjacency, columns, automorphisms) for the
+    canonically relabeled children on k+1 vertices, sorted by (m, adjacency).
+    ``auts`` are automorphisms of ``adj``; attachment sets in one orbit under
+    them give isomorphic children with the new vertex fixed (all accepted or
+    all rejected, with one canonical form), so only one set per orbit is tried.
     """
     nc = k + 1
     degs = [a.bit_count() for a in adj]
-    m_parent = sum(degs) // 2
     # found automorphisms may generate a proper subgroup, and distinct orbits
     # can still give isomorphic children, so duplicates remain possible
     seen: dict[tuple[int, ...], tuple[int, tuple[int, ...], Auts]] = {}
@@ -365,10 +364,10 @@ def _children(
                 pos[v] = i
             # the automorphisms again, in the canonical labeling
             relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
-            seen[ccols] = (m_parent + dn, _relabel(nc, child, perm), relabeled)
-    # distinct columns mean distinct adjacencies, so the sort never compares
-    # beyond (m, adjacency)
-    return sorted((m, a, c, au) for c, (m, a, au) in seen.items())
+            seen[ccols] = (dn, _relabel(nc, child, perm), relabeled)
+    # the new vertex's degree is m less the parent's; distinct columns mean
+    # distinct adjacencies, so the sort never compares beyond (m, adjacency)
+    return sorted((d, a, c, au) for c, (d, a, au) in seen.items())
 
 
 def _expand(
@@ -409,7 +408,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     else:
         adjs = _expand(1, (0,), (0,), [], n)  # from K_1, its columns and no automorphism
     for adj in adjs:
-        g = _graph_from_adj(n, adj)
+        g = Graph(n, adj)
         if not connected_only or is_connected(g):
             yield g
 
@@ -426,6 +425,7 @@ def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
 
 CENSUS_BLOCK = 1024  # classes per census block
 CENSUS_KEPT = 9  # orders up to this are kept once enumerated; larger ones stream
+CENSUS_MAX = 10  # no census above this order: n = 11 has about 10^9 classes
 
 
 class CensusBlock(NamedTuple):
@@ -451,7 +451,10 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     n <= ``CENSUS_KEPT`` that runs to its end is kept, and later calls in the
     process replay it without enumerating again; a stream stopped early keeps
     nothing. Larger orders are enumerated on every call and never kept.
+    An order above ``CENSUS_MAX`` raises ValueError before enumerating.
     """
+    if n > CENSUS_MAX:
+        raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
     kept = _CENSUS.get(n)
     if kept is not None:
         yield from kept
@@ -491,7 +494,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     if not 1 <= n <= 64:
         raise ValueError(f"order must be in 1..64, got {n}")
     if n == 1:
-        yield Graph(1, (0,), 0)
+        yield Graph(1, (0,))
         return
     levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:  # starts at the path, rooted at its center
@@ -504,7 +507,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
                 adj[v] |= 1 << ancestors[-1]
                 adj[ancestors[-1]] |= 1 << v
             ancestors.append(v)
-        yield Graph(n, tuple(adj), n - 1)
+        yield Graph(n, tuple(adj))
         levels = _next_rooted_tree(levels)
 
 
@@ -551,16 +554,11 @@ def _second_subtree(levels: list[int]) -> int:
     return levels.index(1, 2) if 1 in levels[2:] else len(levels)
 
 
-def stream_graph6(
-    lines: Iterable[str],
-    strict: bool = True,
-    on_error: Callable[[int, Graph6Error], None] | None = None,
-) -> Iterator[Graph]:
+def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:
     """Parse newline-delimited graph6 input, yielding graphs in order.
 
-    Whitespace-only lines are skipped. In strict mode the first bad line
-    raises (message includes the 1-based line number); otherwise bad lines
-    are reported through ``on_error`` and skipped.
+    Whitespace-only lines are skipped. The first bad line raises
+    ``Graph6Error``, its message prefixed with the 1-based line number.
     """
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -568,8 +566,4 @@ def stream_graph6(
         try:
             yield parse_graph6(line)
         except Graph6Error as exc:
-            wrapped = Graph6Error(f"line {lineno}: {exc}")
-            if strict:
-                raise wrapped from None
-            if on_error is not None:
-                on_error(lineno, wrapped)
+            raise Graph6Error(f"line {lineno}: {exc}") from None

@@ -18,7 +18,7 @@ one integer, and serves both ``write_graph6`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -42,15 +42,16 @@ def _bit_vertices(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph: order, adjacency bitmasks, and size.
+    """A simple undirected graph ``Graph(n, adj)``; its size ``m`` is derived.
 
-    Invariants (checked at construction): 1 <= n <= 64, no loops, adjacency
-    is symmetric, and ``m`` equals the number of edges encoded in ``adj``.
+    Invariants (checked at construction): 1 <= n <= 64, one bitmask in ``adj``
+    per vertex with no bit at n or above, no loops, and adjacency is
+    symmetric; ``m`` is counted from ``adj`` by the same walk.
     """
 
     n: int
     adj: tuple[int, ...]
-    m: int
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_VERTICES:
@@ -68,8 +69,7 @@ class Graph:
             for v in _bit_vertices(row):
                 if not (self.adj[v] >> u) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if total != 2 * self.m:
-            raise ValueError(f"edge count {self.m} does not match adjacency ({total} half-edges)")
+        object.__setattr__(self, "m", total // 2)  # a frozen field set once, here
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff uv is an edge."""
@@ -116,38 +116,29 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """A graph's degree multiset with its first two power sums kept alongside.
+    """A graph's degree multiset with its first two power sums, derived here.
 
     ``d_sum`` is 2m (the trace of the Laplacian) and ``d_sq_sum`` is the sum
-    of squared degrees; both are carried explicitly because the degree-based
-    entropy formulas use only these.
+    of squared degrees. Construction computes both from ``degrees``, the only
+    input, because the degree-based entropy formulas use only these.
     """
 
     degrees: tuple[int, ...]
-    d_sum: int
-    d_sq_sum: int
+    d_sum: int = field(init=False)
+    d_sq_sum: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.degrees:
             raise ValueError("degree sequence must be nonempty")
         if any(d < 0 for d in self.degrees):
             raise ValueError("degrees must be nonnegative")
-        if self.d_sum != sum(self.degrees):
-            raise ValueError("d_sum inconsistent with degrees")
-        if self.d_sq_sum != sum(d * d for d in self.degrees):
-            raise ValueError("d_sq_sum inconsistent with degrees")
+        object.__setattr__(self, "d_sum", sum(self.degrees))
+        object.__setattr__(self, "d_sq_sum", sum(d * d for d in self.degrees))
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Degree sequence of g in vertex order, with power sums."""
-    degs = tuple(row.bit_count() for row in g.adj)
-    return DegreeSequence(degs, sum(degs), sum(d * d for d in degs))
-
-
-def _graph_from_adj(n: int, adj: Iterable[int]) -> Graph:
-    adj = tuple(adj)
-    m = sum(row.bit_count() for row in adj) // 2
-    return Graph(n, adj, m)
+    return DegreeSequence(tuple(row.bit_count() for row in g.adj))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -157,7 +148,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     """The edgeless graph on n vertices."""
-    return Graph(n, (0,) * n, 0)
+    return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
@@ -165,7 +156,7 @@ def complete(n: int) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
     full = (1 << n) - 1
-    return _graph_from_adj(n, (full ^ (1 << v) for v in range(n)))
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def star(n: int) -> Graph:
@@ -207,7 +198,6 @@ def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """g plus several new edges, all of which must be absent and distinct."""
     n = g.n
     adj = list(g.adj)
-    added = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
@@ -217,8 +207,7 @@ def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) already present")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        added += 1
-    return Graph(n, tuple(adj), g.m + added)
+    return Graph(n, tuple(adj))
 
 
 def disjoint_union(parts: Iterable[Graph]) -> Graph:
@@ -232,7 +221,7 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
     for p in parts:
         adj.extend(row << offset for row in p.adj)
         offset += p.n
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -419,4 +408,4 @@ def parse_graph6(text: str) -> Graph:
                     i, j = 0, j + 1
             elif bit:
                 raise fail(off, "nonzero padding bits")
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))

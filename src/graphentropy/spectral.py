@@ -23,10 +23,9 @@ DEFAULT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order, plus the tolerance they were cleaned with."""
+    """Eigenvalues in descending order, cleaned with ``DEFAULT_TOL``."""
 
     values: tuple[float, ...]
-    tol: float
 
 
 def eigenvalues_symmetric(mat) -> list[float]:
@@ -71,7 +70,7 @@ def density_spectrum(g: Graph) -> Spectrum:
         raise ArithmeticError("cleaned spectrum does not sum to 1")
     if vals[-1] != 0.0:
         raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")
-    return Spectrum(tuple(vals), DEFAULT_TOL)
+    return Spectrum(tuple(vals))
 
 
 def density_spectra(rows: np.ndarray) -> np.ndarray:

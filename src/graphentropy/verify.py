@@ -41,7 +41,6 @@ from .enumeration import canonical_form, census, enumerate_trees
 from .graphs import (
     DegreeSequence,
     Graph,
-    _graph_from_adj,
     add_edge,
     degree_sequence,
     diameter,
@@ -144,15 +143,17 @@ class _Extremes:
         return [tag for _, tag in self.ties]
 
 
-def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """(adjacency rows, graph6 words) of the connected classes, block by block."""
+def _scan(n: int, workers: int, edged: bool = False) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """(adjacency rows, graph6 words) of the connected classes, block by block;
+    with ``edged``, of every class with an edge instead."""
     for block in census(n, workers=workers):
-        yield block.rows[block.connected], block.graph6[block.connected].tolist()
+        keep = block.rows.any(axis=1) if edged else block.connected
+        yield block.rows[keep], block.graph6[keep].tolist()
 
 
-def _spectra(n: int, workers: int) -> Iterator[tuple[list[float], str]]:
-    """(density spectrum, graph6 word) per connected class."""
-    for rows, words in _scan(n, workers):
+def _spectra(n: int, workers: int, edged: bool = False) -> Iterator[tuple[list[float], str]]:
+    """(density spectrum, graph6 word) per class that ``_scan`` keeps."""
+    for rows, words in _scan(n, workers, edged):
         yield from zip(density_spectra(rows).tolist(), words)
 
 
@@ -160,13 +161,13 @@ def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
     """(degree sequence, graph6 word) per connected class, in Python ints."""
     for rows, words in _scan(n, workers):
         for degs, g6 in zip(np.bitwise_count(rows).tolist(), words):
-            yield DegreeSequence(tuple(degs), sum(degs), sum(x * x for x in degs)), g6
+            yield DegreeSequence(tuple(degs)), g6
 
 
 def _graphs(n: int, workers: int) -> Iterator[tuple[Graph, str]]:
     """(graph, graph6 word) per connected class."""
     for rows, words in _scan(n, workers):
-        yield from zip((_graph_from_adj(n, adj) for adj in rows.tolist()), words)
+        yield from zip((Graph(n, tuple(adj)) for adj in rows.tolist()), words)
 
 
 def _is_star(g: Graph) -> bool:
@@ -360,21 +361,14 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     top = _Extremes(biggest=True)
     zero_graphs: list[str] = []
     classes = 0
-    skipped = 0
-    for block in census(n, workers=workers):
-        edged = block.rows.any(axis=1)
-        skipped += int(np.count_nonzero(~edged))
-        words = block.graph6[edged].tolist()
-        for vals, g6 in zip(density_spectra(block.rows[edged]).tolist(), words):
-            classes += 1
-            h = renyi_entropy(vals, alpha)
-            if h > bound + EPS:
-                raise TheoremViolation(
-                    f"H_{alpha}({g6}) = {h} exceeds log2({n}-1) = {bound}"
-                )
-            top.offer(h, g6)
-            if h <= EPS:
-                zero_graphs.append(g6)
+    for vals, g6 in _spectra(n, workers, edged=True):
+        classes += 1
+        h = renyi_entropy(vals, alpha)
+        if h > bound + EPS:
+            raise TheoremViolation(f"H_{alpha}({g6}) = {h} exceeds log2({n}-1) = {bound}")
+        top.offer(h, g6)
+        if h <= EPS:
+            zero_graphs.append(g6)
     # zero entropy forces rank-1 Laplacian, i.e. exactly one edge, and the
     # single-edge graph (K2 plus isolates) is one isomorphism class
     if not (len(zero_graphs) == 1 and parse_graph6(zero_graphs[0]).m == 1):
@@ -383,7 +377,7 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
         )
     stats = {
         "classes": classes,
-        "skipped_edgeless": skipped,
+        "skipped_edgeless": 1,  # the edgeless graph is the only class without an edge
         "alpha": alpha,
         "bound": bound,
         "max_entropy": top.best(),
@@ -579,6 +573,8 @@ def param_comparability(
     pairwise comparison would form. The capped lists are then filled from the
     rows with a nonzero count only, one vectorized mask per row.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     if param not in _PARAMS:
         raise ValueError(f"param must be one of {sorted(_PARAMS)}")
     f = _PARAMS[param]
@@ -586,7 +582,7 @@ def param_comparability(
     ss: list[float] = []
     words: list[str] = []
     for adj_rows, block_words in _scan(n, workers):
-        ps.extend(f(_graph_from_adj(n, adj)) for adj in adj_rows.tolist())
+        ps.extend(f(Graph(n, tuple(adj))) for adj in adj_rows.tolist())
         ss.extend(shannon_entropy(vals) for vals in density_spectra(adj_rows).tolist())
         words.extend(block_words)
     p = np.array(ps, dtype=np.int64)

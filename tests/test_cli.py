@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from graphentropy import verify
+from graphentropy import cli, entropy, enumeration, verify
 from graphentropy.cli import _run_claim, _threads, main
 from graphentropy.enumeration import clear_census
 from graphentropy.entropy import star_entropy_closed
@@ -209,6 +209,51 @@ def test_verify_rejects_unused_alpha(capsys, monkeypatch, argv):
     assert rc == 1 and out == "" and "--alpha" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coentropy", "--witness-cap", "5"], "--witness-cap"),
+        (["coentropy", "--entropy", "H2"], "--entropy"),
+        (["coentropy", "--param", "matching"], "--param"),
+        (["tree-extremes", "--threads", "2"], "--threads"),
+        (["star-min-S", "--entropy", "S"], "--entropy"),  # the default value, given
+        (["renyi-max", "--alpha", "2", "--witness-cap", "0"], "--witness-cap"),
+        (["density-implies-star", "--param", "diameter"], "--param"),
+    ],
+)
+def test_verify_rejects_flags_the_claim_does_not_read(capsys, monkeypatch, argv, flag):
+    # as above: the check comes before any scan or tree enumeration
+    monkeypatch.setattr(verify, "census", None)
+    monkeypatch.setattr(verify, "enumerate_trees", None)
+    rc, out, err = run(capsys, "verify", *argv, "--n", "5")
+    assert rc == 1 and out == "" and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "star-min-S", "--n", "12"],
+        ["verify", "edge-add-decrease", "--n", "11"],
+        ["verify", "param-compare", "--n", "1"],
+        ["table1", "--n", "2..11"],
+        ["table1", "--n", "2..1000000000000000000"],  # the range is never listed
+    ],
+)
+def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(enumeration, "enumerate_graphs", None)
+    monkeypatch.setattr(cli, "table1_row", None)  # table1 checks its whole range first
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and "error:" in err
+    assert "density matrix" not in err
+
+
+def test_augment_rejects_huge_searches_before_any_eigensolve(capsys, monkeypatch):
+    monkeypatch.setattr(entropy, "density_spectrum", None)
+    empty20 = "S" + "?" * 32  # 190 absent edges: k = 5 asks for about 2e9 sets
+    rc, out, err = run(capsys, "augment", "--input", empty20, "--k", "5", "--x", "1")
+    assert rc == 1 and out == "" and "candidate edge sets" in err
+
+
 def test_verify_text_format(capsys):
     rc, out, _ = run(capsys, "verify", "renyi-max", "--n", "4", "--alpha", "2", "--format", "text")
     assert rc == 0
@@ -238,7 +283,7 @@ def test_table1_stdout_independent_of_threads(capsys):
 @pytest.mark.parametrize("claim", ["coentropy", "param-compare"])
 def test_verify_reports_real_runtime(claim):
     args = argparse.Namespace(
-        claim=claim, n="6", alpha=None, entropy="S", param="diameter", witness_cap=1000, threads=1
+        claim=claim, n="6", alpha=None, entropy=None, param=None, witness_cap=None, threads=1
     )
     assert _run_claim(args).runtime > 0
 

@@ -256,6 +256,13 @@ def test_census_stopped_midstream_keeps_nothing(monkeypatch):
     assert len(calls) == 3 and 7 in enumeration._CENSUS
 
 
+def test_census_rejects_orders_above_the_bound(monkeypatch):
+    # the bound is checked before enumerate_graphs is even called
+    monkeypatch.setattr(enumeration, "enumerate_graphs", None)
+    with pytest.raises(ValueError, match="at most 10"):
+        next(census(enumeration.CENSUS_MAX + 1))
+
+
 def test_census_streams_orders_above_the_kept_limit(monkeypatch):
     clear_census()
     monkeypatch.setattr(enumeration, "CENSUS_KEPT", 5)
@@ -310,11 +317,3 @@ def test_stream_graph6_strict_raises_with_line_number():
     lines = ["A_", "!!bad!!", "C~"]
     with pytest.raises(Graph6Error, match="line 2"):
         list(stream_graph6(lines))
-
-
-def test_stream_graph6_skip_mode_reports():
-    lines = ["A_", "!!bad!!", "C~"]
-    seen = []
-    out = list(stream_graph6(lines, strict=False, on_error=lambda no, exc: seen.append(no)))
-    assert len(out) == 2
-    assert seen == [2]

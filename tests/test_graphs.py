@@ -41,19 +41,36 @@ def random_graph(rng, n, p=0.5):
 
 def test_construction_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        Graph(0, (), 0)
+        Graph(0, ())
     with pytest.raises(ValueError):
-        Graph(65, (0,) * 65, 0)
+        Graph(65, (0,) * 65)
     with pytest.raises(ValueError):
-        Graph(2, (0,), 0)  # wrong adjacency length
+        Graph(2, (0,))  # wrong adjacency length
     with pytest.raises(ValueError):
-        Graph(2, (1, 0), 0)  # loop at vertex 0
+        Graph(2, (1, 0))  # loop at vertex 0
     with pytest.raises(ValueError):
-        Graph(2, (2, 0), 1)  # asymmetric
+        Graph(2, (2, 0))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(2, (2, 1), 0)  # edge count mismatch
-    with pytest.raises(ValueError):
-        Graph(2, (4, 0), 1)  # out-of-range neighbor bit
+        Graph(2, (4, 0))  # out-of-range neighbor bit
+    with pytest.raises(TypeError):
+        Graph(2, (2, 1), 1)  # the edge count is derived, never passed
+
+
+def test_derived_counts_match_independent_sums():
+    rng = random.Random(11)
+    for n in list(range(1, 9)) + [16, 31, 63, 64]:
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            edges = g.edges()
+            assert Graph(g.n, g.adj).m == len(edges)
+            degs = [0] * n
+            for u, v in edges:
+                degs[u] += 1
+                degs[v] += 1
+            d = degree_sequence(g)
+            assert d.degrees == tuple(degs)
+            assert d.d_sum == 2 * len(edges)
+            assert d.d_sq_sum == sum(x * x for x in degs)
 
 
 def test_from_edges_validation():
@@ -113,8 +130,12 @@ def test_degree_sequence():
     d = degree_sequence(star(5))
     assert d.degrees == (4, 1, 1, 1, 1)
     assert d.d_sum == 8 and d.d_sq_sum == 20
+    direct = DegreeSequence((3, 1, 2))
+    assert direct.d_sum == 6 and direct.d_sq_sum == 14
     with pytest.raises(ValueError):
-        DegreeSequence((1, 2), 3, 6)  # wrong square sum
+        DegreeSequence(())
+    with pytest.raises(ValueError):
+        DegreeSequence((1, -1))
 
 
 def test_laplacian():
