@@ -19,8 +19,9 @@ leaves only, not over all n! orderings, so the bytes are in general not the
 smallest graph6 word of the class. Two leaves with the same encoding differ
 by an automorphism; discovered automorphisms prune sibling branches through
 their orbits, which keeps highly symmetric graphs (complete, complete
-bipartite) from exploding. Exact but exponential in the worst case; intended
-for the orders this package works at (n <= 16).
+bipartite) from exploding. A forest follows its first branch only (see
+``_forest_ordering``); for other graphs the search is exact but exponential
+in the worst case. Both serve the orders this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -62,12 +63,14 @@ from .graphs import (
     Graph6Error,
     _bit_vertices,
     _graph6_bytes,
+    component_count,
     is_connected,
     parse_graph6,
     write_graph6,
 )
 
 _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
+CANON_MAX = 16  # no canonical form above this order
 _AUT_CAP = 64  # keep at most this many discovered automorphisms per search
 
 
@@ -237,14 +240,36 @@ class CanonicalForm:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of g (positions ordered by the smallest leaf encoding)."""
-    if g.n > 16:
-        raise ValueError("canonical forms are supported for n <= 16")
-    cols, _, _ = _canon_search(g.n, g.adj)
+    """Canonical form of g: the smallest leaf encoding, for a forest its first leaf."""
+    if g.n > CANON_MAX:
+        raise ValueError(f"canonical forms are supported for n <= {CANON_MAX}")
+    if g.m + component_count(g) == g.n:
+        order = _forest_ordering(g.n, g.adj)
+    else:
+        _, order, _ = _canon_search(g.n, g.adj)
     body = 0
-    for j in range(1, g.n):  # columns 1..n-1 concatenated: the graph6 body
-        body = (body << j) | cols[j]
+    for j, v in enumerate(order):  # columns 1..n-1 concatenated: the graph6 body
+        row = g.adj[v]
+        for u in order[:j]:
+            body = (body << 1) | ((row >> u) & 1)
     return CanonicalForm(_graph6_bytes(g.n, body))
+
+
+def _forest_ordering(n: int, adj: tuple[int, ...]) -> list[int]:
+    """The first leaf of a forest's canonical search, which is its smallest.
+
+    Colour refinement of a forest, with any vertices individualized, stops at
+    the orbit partition (Arvind, Koebler, Rattan & Verbitsky, Comput.
+    Complexity 26, 2017), so every leaf of the search encodes the same graph.
+    """
+    cells = _refine(adj, [list(range(n))], (0,))
+    idx = 0
+    while idx < len(cells):
+        if len(cells[idx]) > 1:
+            v, *others = cells[idx]
+            cells = _refine(adj, cells[:idx] + [[v], others] + cells[idx + 1:], (idx, idx + 1))
+        idx += 1
+    return [cell[0] for cell in cells]
 
 
 def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:

@@ -54,8 +54,7 @@ class Graph:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {self.n}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length must equal the graph order")
         full = (1 << self.n) - 1
@@ -146,15 +145,20 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return add_edges(empty_graph(n), edges)
 
 
+def _check_order(n: int) -> None:  # before anything of size n is built
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def empty_graph(n: int) -> Graph:
     """The edgeless graph on n vertices."""
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     """K_n."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -163,30 +167,28 @@ def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to all others. Requires n >= 2."""
     if n < 2:
         raise ValueError("a star needs at least 2 vertices")
-    return from_edges(n, [(0, v) for v in range(1, n)])
+    return from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def path(n: int) -> Graph:
     """P_n: the path 0-1-...-(n-1). Requires n >= 2."""
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """C_n. Requires n >= 3."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts {0..a-1} and {a..a+b-1}."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    if a + b > MAX_VERTICES:  # before the a*b edge list is built
-        raise ValueError(f"order {a + b} exceeds {MAX_VERTICES}")
-    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

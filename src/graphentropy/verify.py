@@ -21,6 +21,7 @@ reachable through tr2) use exact rationals and no tolerance at all.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .entropy import (
     density_test,
     tr2,
 )
-from .enumeration import canonical_form, census, enumerate_trees
+from .enumeration import CANON_MAX, canonical_form, census, enumerate_trees
 from .graphs import (
     DegreeSequence,
     Graph,
@@ -52,6 +53,7 @@ from .spectral import density_spectra, density_spectrum
 
 EPS = 1e-9
 DEFAULT_WITNESS_CAP = 1000
+TREE_BLOCK = 128  # trees per stacked eigensolve; 1024 raised peak RSS by 17% at n=15
 
 
 class TheoremViolation(RuntimeError):
@@ -237,10 +239,13 @@ def verify_tree_extremes(
     path unique maximum are proved, so any failure raises TheoremViolation.
     ``entropy="S"``: floating scan reporting whether the path is the unique
     maximizer (open statement); trees tying or beating the path are
-    witnesses.
+    witnesses, with S from one stacked ``density_spectra`` per ``TREE_BLOCK``
+    trees. Above ``CANON_MAX`` it raises ValueError before making a tree.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if n > CANON_MAX:
+        raise ValueError(f"canonical forms are supported for n <= {CANON_MAX}")
     if entropy not in ("S", "H2"):
         raise ValueError("entropy must be 'S' or 'H2'")
     found = _Witnesses(witness_cap)
@@ -249,16 +254,22 @@ def verify_tree_extremes(
     top = _Extremes(biggest=True, eps=0 if exact else EPS)
     bottom = _Extremes(eps=0 if exact else EPS)
     rows: list[tuple[Fraction | float, str]] = []
-    for g in enumerate_trees(n):
-        value = tr2(degree_sequence(g)) if exact else shannon_entropy(density_spectrum(g).values)
-        g6 = _canon_g6(g)
-        if _is_star(g):
-            star_value = value
-        if _is_path(g):
-            path_value, path_g6 = value, g6
-        top.offer(value, g6)
-        bottom.offer(value, g6)
-        rows.append((value, g6))
+    trees = enumerate_trees(n)
+    while block := list(itertools.islice(trees, TREE_BLOCK)):
+        if exact:
+            values = [tr2(degree_sequence(g)) for g in block]
+        else:
+            adjs = np.array([g.adj for g in block], dtype=np.uint16)
+            values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
+        for g, value in zip(block, values):
+            g6 = _canon_g6(g)
+            if _is_star(g):
+                star_value = value
+            if _is_path(g):
+                path_value, path_g6 = value, g6
+            top.offer(value, g6)
+            bottom.offer(value, g6)
+            rows.append((value, g6))
     if exact:
         # smaller tr2 = larger H_2. Star must have the strictly largest tr2,
         # path the strictly smallest, over all trees.

@@ -237,10 +237,12 @@ def test_verify_rejects_flags_the_claim_does_not_read(capsys, monkeypatch, argv,
         ["verify", "param-compare", "--n", "1"],
         ["table1", "--n", "2..11"],
         ["table1", "--n", "2..1000000000000000000"],  # the range is never listed
+        ["verify", "tree-extremes", "--n", "17"],
     ],
 )
 def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
     monkeypatch.setattr(enumeration, "enumerate_graphs", None)
+    monkeypatch.setattr(verify, "enumerate_trees", None)
     monkeypatch.setattr(cli, "table1_row", None)  # table1 checks its whole range first
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == "" and "error:" in err

@@ -17,6 +17,9 @@ from graphentropy.graphs import (
     Graph6Error,
     complete,
     complete_bipartite,
+    component_count,
+    cycle,
+    disjoint_union,
     from_edges,
     is_connected,
     parse_graph6,
@@ -90,6 +93,61 @@ def test_canonical_form_is_ordered_bytes():
     b = canonical_form(star(4))
     assert isinstance(a, CanonicalForm) and isinstance(a.bytes, bytes)
     assert (a < b) != (b < a)
+
+
+def search_bytes(g):
+    # the smallest leaf of the full search, packed from its columns
+    cols, _, _ = enumeration._canon_search(g.n, g.adj)
+    body = 0
+    for j in range(1, g.n):
+        body = (body << j) | cols[j]
+    return graphs._graph6_bytes(g.n, body)
+
+
+def random_tree_edges(rng, k, start=0):
+    # vertex start + i hangs from a random earlier vertex
+    return [(start + i, start + rng.randrange(i)) for i in range(1, k)]
+
+
+def relabeled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_forest_path_matches_full_search():
+    # canonical_form takes the first leaf of a forest's search; the full
+    # search's smallest leaf must give the same bytes
+    rng = random.Random(8)
+    for n in range(1, 17):
+        for _ in range(30):
+            t = relabeled(rng, n, random_tree_edges(rng, n))
+            assert canonical_form(t).bytes == search_bytes(t)
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        edges, start = [], 0
+        while start < n:
+            k = rng.randint(1, n - start)
+            edges += random_tree_edges(rng, k, start)
+            start += k
+        if 2 * n <= 16 and rng.random() < 0.5:  # two copies, so components swap
+            edges += [(u + n, v + n) for u, v in edges]
+            n *= 2
+        g = relabeled(rng, n, edges)
+        assert g.m + component_count(g) == g.n
+        assert canonical_form(g).bytes == search_bytes(g)
+
+
+def test_first_leaf_is_not_canonical_off_forests():
+    # C3 + C4 is 2-regular: refinement leaves one cell holding two orbits, so
+    # the first leaf of its search depends on the labeling, and only the full
+    # search gives one form (at n = 7 this class and its complement are the
+    # only ones where the first leaf can miss)
+    rng = random.Random(9)
+    c3c4 = disjoint_union([cycle(3), cycle(4)])
+    for g in (c3c4, from_edges(7, c3c4.non_edges())):
+        forms = {canonical_form(relabeled(rng, 7, g.edges())) for _ in range(40)}
+        assert forms == {canonical_form(g)}
 
 
 def random_ordered_partition(rng, n):

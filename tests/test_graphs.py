@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,3 +285,19 @@ def test_min_mask_is_relabeling_invariant():
         rng.shuffle(perm)
         h = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert min_mask(n, edge_mask(g)) == min_mask(n, edge_mask(h))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [star, path, cycle, lambda n: complete_bipartite(n // 2, n // 2)],
+    ids=["star", "path", "cycle", "complete_bipartite"],
+)
+def test_families_check_the_order_before_listing_edges(family):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="graph order"):
+            family(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

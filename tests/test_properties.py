@@ -27,6 +27,14 @@ def graphs(draw, min_n=1, max_n=MAX_VERTICES, min_edges=0):
     return from_edges(n, edges)
 
 
+@st.composite
+def trees(draw, min_n, max_n):
+    """A random labeled tree: vertex i hangs from an earlier one, then all are relabeled."""
+    n = draw(st.integers(min_n, max_n))
+    perm = draw(st.permutations(range(n)))
+    return from_edges(n, [(perm[i], perm[draw(st.integers(0, i - 1))]) for i in range(1, n)])
+
+
 @PROPERTY
 @given(graphs())
 def test_graph6_round_trip(g):
@@ -57,12 +65,17 @@ def test_union_entropy_is_the_entropy_of_the_union(parts):
 
 
 @PROPERTY
-@given(st.integers(2, 12).flatmap(
-    lambda n: st.lists(graphs(min_n=n, max_n=n, min_edges=1), min_size=1, max_size=6)
+@given(st.one_of(
+    st.integers(2, 12).flatmap(
+        lambda n: st.lists(graphs(min_n=n, max_n=n, min_edges=1), min_size=1, max_size=6)
+    ),
+    # the tree scan's blocks: n = 13..16 in uint16 rows
+    st.integers(13, 16).flatmap(lambda n: st.lists(trees(n, n), min_size=1, max_size=6)),
 ))
 def test_density_spectra_bit_identical_to_density_spectrum(block):
     n = block[0].n
     rows = np.array([g.adj for g in block], dtype=np.min_scalar_type((1 << n) - 1))
+    assert rows.dtype == (np.uint8 if n <= 8 else np.uint16)
     stacked = density_spectra(rows)
     for g, row in zip(block, stacked):
         assert row.tobytes() == np.array(density_spectrum(g).values).tobytes()

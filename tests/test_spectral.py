@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,7 +17,7 @@ from graphentropy.graphs import (
     path,
     star,
 )
-from graphentropy.enumeration import census
+from graphentropy.enumeration import census, enumerate_trees
 from graphentropy.spectral import (
     DEFAULT_TOL,
     Spectrum,
@@ -24,6 +25,7 @@ from graphentropy.spectral import (
     density_spectrum,
     eigenvalues_symmetric,
 )
+from graphentropy.verify import TREE_BLOCK
 
 
 def random_graph(rng, n, p=0.5):
@@ -130,6 +132,12 @@ def test_density_spectra_bit_identical_to_per_graph_path():
             assert len(stacked) == len(words)
             for vals, word in zip(stacked, words):
                 assert tuple(vals) == density_spectrum(parse_graph6(word)).values
+    # the tree scan's first block at n = 13..16, stacked as it stacks them
+    for n in range(13, 17):
+        trees = list(itertools.islice(enumerate_trees(n), TREE_BLOCK))
+        stacked = density_spectra(np.array([t.adj for t in trees], dtype=np.uint16)).tolist()
+        for vals, t in zip(stacked, trees):
+            assert tuple(vals) == density_spectrum(t).values
 
 
 def test_density_spectra_rejects_edgeless_row():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphentropy.entropy import renyi_entropy, star_entropy_closed, von_neumann_entropy
-from graphentropy.enumeration import canonical_form, enumerate_graphs
+from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
 from graphentropy.graphs import (
     add_edge,
     complete,
@@ -160,6 +160,19 @@ def test_tree_extremes_validation():
         verify_tree_extremes(2)
     with pytest.raises(ValueError):
         verify_tree_extremes(6, entropy="H3")
+
+
+def test_tree_extremes_rejects_orders_canonical_forms_do_not_reach(monkeypatch):
+    # one bound, shared with canonical_form, checked before any tree is made
+    # or any eigensolve runs
+    monkeypatch.setattr(verify, "enumerate_trees", None)
+    monkeypatch.setattr(verify, "density_spectra", None)
+    message = f"canonical forms are supported for n <= {CANON_MAX}"
+    for entropy in ("S", "H2"):
+        with pytest.raises(ValueError, match=message):
+            verify_tree_extremes(CANON_MAX + 1, entropy)
+    with pytest.raises(ValueError, match=message):
+        canonical_form(path(CANON_MAX + 1))
 
 
 # --- global Renyi bound ---------------------------------------------------------
