@@ -147,6 +147,8 @@ def _write_csv(rows: Iterable[dict]) -> None:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    if (args.family is None) != (args.n is None):  # before any input is read
+        raise ValueError("--family needs --n" if args.family else "--n is used only with --family")
     alphas = [float(a) for a in args.alpha] if args.alpha else []
     rows = (_report_row(g, alphas) for g in _iter_input_graphs(args))
     if args.format == "json":

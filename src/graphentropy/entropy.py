@@ -264,8 +264,10 @@ def entropy_augmentation(g: Graph, k: int, x: float) -> tuple[tuple[int, int], .
     as entropy 0 by convention so the search can start from empty graphs.
     Exponential in k; meant for small interactive instances. A search over
     more than 10^6 candidate sets (sum over s <= k of C(absent edges, s))
-    raises ValueError before the first eigensolve.
+    raises ValueError before the first eigensolve, as does a NaN target.
     """
+    if math.isnan(x):
+        raise ValueError("target x must be a number, got nan")
     if k < 0:
         raise ValueError("k must be nonnegative")
     missing = g.non_edges()

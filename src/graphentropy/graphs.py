@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,12 +32,20 @@ class Graph6Error(ValueError):
     """Malformed graph6 input; the message names the offending byte offset."""
 
 
-def _bit_vertices(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+_BYTE_VERTICES = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+
+
+def _bit_vertices(mask: int) -> Sequence[int]:
+    """Set bit positions of ``mask`` (nonnegative), increasing: a shared tuple
+    from ``_BYTE_VERTICES`` when ``mask < 256`` (n <= 8), else a new list."""
+    if mask < 256:
+        return _BYTE_VERTICES[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,13 +235,16 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A as an integer matrix."""
-    lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        lap[u, u] = g.adj[u].bit_count()
-        for v in _bit_vertices(g.adj[u]):
-            lap[u, v] = -1
-    return lap
+    """Combinatorial Laplacian L = D - A as an int64 matrix, built as Python
+    rows and converted by one ``np.array`` call, not stored entry by entry."""
+    rows = []
+    for u, row in enumerate(g.adj):
+        r = [0] * g.n
+        for v in _bit_vertices(row):
+            r[v] = -1
+        r[u] = row.bit_count()
+        rows.append(r)
+    return np.array(rows, dtype=np.int64)
 
 
 def is_connected(g: Graph) -> bool:

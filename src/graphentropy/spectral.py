@@ -31,22 +31,25 @@ class Spectrum:
 def eigenvalues_symmetric(mat) -> list[float]:
     """Eigenvalues of a symmetric matrix, descending.
 
-    Rejects non-square and (beyond ``DEFAULT_TOL`` relative to the Frobenius
-    norm) non-symmetric input; a defensive trace check guards against a
-    silently wrong decomposition.
+    Rejects non-square input, an infinite Frobenius norm ``sqrt(flat @ flat)``,
+    and asymmetry beyond ``DEFAULT_TOL`` times that norm, NaN included; a
+    defensive trace check guards against a silently wrong decomposition.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix must have at least one row")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if not np.all(np.abs(a - a.T) <= DEFAULT_TOL * scale):
+    flat = a.ravel()
+    scale = max(1.0, math.sqrt(flat @ flat))
+    if scale == math.inf:
+        raise ValueError("matrix has an infinite Frobenius norm")
+    if not np.abs(a - a.T).max() <= DEFAULT_TOL * scale:  # false for NaN too
         raise ValueError("matrix is not symmetric within tolerance")
     w = np.linalg.eigvalsh(a)  # ascending; raises LinAlgError on failure
-    if abs(float(w.sum()) - float(np.trace(a))) > a.shape[0] * DEFAULT_TOL * scale:
+    if abs(float(w.sum()) - float(a.trace())) > a.shape[0] * DEFAULT_TOL * scale:
         raise ArithmeticError("eigenvalue sum drifted from the trace")
-    return [float(x) for x in w[::-1]]
+    return w[::-1].tolist()
 
 
 def density_spectrum(g: Graph) -> Spectrum:

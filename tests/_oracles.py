@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used by the tests.
 
 Nothing here shares code with the package internals: isomorphism classes are
-computed by permuting labeled edge masks, matchings by trying all edge
-subsets, equitable partitions by re-scanning every cell for every splitter,
-graph6 words by appending one triangle bit at a time.
+computed by permuting labeled edge masks, Laplacians by one bit test per
+entry, matchings by trying all edge subsets, equitable partitions by
+re-scanning every cell for every splitter, graph6 words by appending one
+triangle bit at a time.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -206,3 +207,15 @@ def brute_param_pairs(rows: list[tuple[int, float, str]], cap: int, eps: float =
                 if len(rises) < cap:
                     rises.append((g1, g2))
     return drops, rises, drop_count, rise_count
+
+
+def reference_laplacian(g: Graph) -> list[list[int]]:
+    """L = D - A as nested lists, from one bit test of ``g.adj`` per entry."""
+    n = g.n
+    lap = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if (g.adj[u] >> v) & 1:
+                lap[u][v] = -1
+                lap[u][u] += 1
+    return lap

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -47,6 +48,18 @@ def test_entropy_reads_stdin_by_default(capsys, monkeypatch):
     rows = json_lines(out)
     assert [r["n"] for r in rows] == [4, 3]
     assert rows[0]["S"] == pytest.approx(math.log2(3), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("--family", "star"), "needs --n"), (("--n", "8"), "--n is used only with --family")],
+    ids=["family-without-n", "n-without-family"],
+)
+def test_entropy_rejects_family_and_n_apart_before_reading_input(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+    rc, out, err = run(capsys, "entropy", *argv)
+    assert rc == 1 and out == "" and flag in err
+    assert sys.stdin.read() == "C~\n"  # nothing was read
 
 
 def test_entropy_csv_agrees_with_json(capsys, tmp_path):
@@ -321,6 +334,12 @@ def test_augment_zero_edges_needed_and_clamp(capsys):
     assert rc == 0
     assert "clamped" in err
     assert out.splitlines()[0] == "YES (no edges needed)"
+
+
+def test_augment_rejects_nan_target_before_any_eigensolve(capsys, monkeypatch):
+    monkeypatch.setattr(entropy, "density_spectrum", None)
+    rc, out, err = run(capsys, "augment", "--input", "Cz", "--k", "1", "--x", "nan")
+    assert rc == 1 and out == "" and "nan" in err
 
 
 def test_augment_reads_stdin(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphentropy import entropy
 from graphentropy.entropy import (
     EntropyReport,
     Majorization,
@@ -362,6 +363,19 @@ def test_entropy_augmentation_validation():
         entropy_augmentation(path(3), 5, 1.0)  # only 1 absent edge
     with pytest.raises(ValueError):
         entropy_augmentation(path(3), -1, 1.0)
+
+
+def test_entropy_augmentation_rejects_nan_target_before_any_eigensolve(monkeypatch):
+    def no_spectrum(g):
+        raise AssertionError("density_spectrum called")
+
+    monkeypatch.setattr(entropy, "density_spectrum", no_spectrum)
+    with pytest.raises(ValueError, match="nan"):
+        entropy_augmentation(path(4), 2, math.nan)
+    monkeypatch.undo()
+    # infinite targets stay valid: nothing reaches inf, everything reaches -inf
+    assert entropy_augmentation(path(4), 1, math.inf) is None
+    assert entropy_augmentation(path(4), 1, -math.inf) == ()
 
 
 # --- reports -------------------------------------------------------------------

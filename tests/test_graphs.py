@@ -27,9 +27,16 @@ from graphentropy.graphs import (
     path,
     star,
     write_graph6,
+    _bit_vertices,
 )
 
-from _oracles import brute_matching, edge_mask, min_mask, reference_write_graph6
+from _oracles import (
+    brute_matching,
+    edge_mask,
+    min_mask,
+    reference_laplacian,
+    reference_write_graph6,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -55,6 +62,15 @@ def test_construction_rejects_bad_shapes():
         Graph(2, (4, 0))  # out-of-range neighbor bit
     with pytest.raises(TypeError):
         Graph(2, (2, 1), 1)  # the edge count is derived, never passed
+    for v in (8, 63):  # past the first byte of a row: vertex 0 lists v, v not 0
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(v + 1, (1 << v,) + (0,) * v)
+
+
+def test_bit_vertices_matches_bit_tests():
+    rng = random.Random(11)
+    for mask in [*range(1 << 10), *(rng.getrandbits(64) for _ in range(1000))]:
+        assert list(_bit_vertices(mask)) == [v for v in range(64) if mask >> v & 1]
 
 
 def test_derived_counts_match_independent_sums():
@@ -148,6 +164,15 @@ def test_laplacian():
     assert (lp == lp.T).all()
     assert lp.sum() == 0
     assert np.diag(lp).sum() == 2 * g.m
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64])
+def test_laplacian_matches_reference(n):
+    rng = random.Random(n)
+    for g in (empty_graph(n), complete(n), random_graph(rng, n)):
+        lap = laplacian(g)
+        assert lap.dtype == np.int64
+        assert lap.tolist() == reference_laplacian(g)
 
 
 # --- structural queries -----------------------------------------------------

@@ -40,6 +40,7 @@ def test_eigenvalues_descending_and_trace():
         a = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
         a = a + a.T
         w = eigenvalues_symmetric(a)
+        assert w == np.linalg.eigvalsh(a)[::-1].tolist()
         assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
         assert abs(sum(w) - np.trace(a)) < 1e-9 * max(1.0, abs(np.trace(a)))
 
@@ -74,6 +75,26 @@ def test_eigenvalues_rejects_bad_input():
         eigenvalues_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalues_symmetric(np.zeros((0, 0)))
+
+
+def test_eigenvalues_symmetry_tolerance_and_nonfinite_entries():
+    rng = random.Random(3)
+    a = np.array([[rng.gauss(0, 1) for _ in range(6)] for _ in range(6)])
+    a = a + a.T
+    scale = float(np.linalg.norm(a))
+    near = a.copy()
+    near[0, 1] += 1e-15 * scale
+    assert eigenvalues_symmetric(near) == np.linalg.eigvalsh(near)[::-1].tolist()
+    far = a.copy()
+    far[0, 1] += 1e-6 * scale
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues_symmetric(far)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in ((0, 1), (1, 0), (2, 2)):
+            m = a.copy()
+            m[i, j] = bad
+            with pytest.raises(ValueError):
+                eigenvalues_symmetric(m)
 
 
 def test_density_spectrum_is_distribution():

@@ -225,6 +225,27 @@ def test_edge_add_decreases_appear_at_five_vertices():
     assert [2, 2, 2, 3, 3] in profiles
 
 
+def test_edge_add_calls_one_spectrum_per_graph_and_pair(monkeypatch):
+    # perfbench's traced edge-add-8 run pins these two call counts
+    calls = {"density_spectrum": 0, "add_edge": 0}
+
+    def counting(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    edge_add_decrease_search(6)
+    classes = list(enumerate_graphs(6, connected_only=True))
+    pairs = sum(len(g.non_edges()) for g in classes)
+    assert calls == {"density_spectrum": len(classes) + pairs, "add_edge": pairs}
+
+
 def test_edge_add_validation():
     with pytest.raises(ValueError):
         edge_add_decrease_search(2)
