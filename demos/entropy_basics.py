@@ -63,6 +63,6 @@ for a, b in ((2, 6), (3, 7), (5, 5)):
 # H_alpha is non-increasing in alpha, with the Shannon value at alpha = 1.
 print("\n=== Renyi entropies decrease as alpha grows (C_6) ===")
 g = cycle(6)
-print("spectrum:", " ".join(f"{v:.4f}" for v in density_spectrum(g).values))
+print("spectrum:", " ".join(f"{v:.4f}" for v in density_spectrum(g)))
 for alpha in (1.0, 1.5, 2.0, 3.0, 10.0):
     print(f"alpha = {alpha:<4}  H = {graph_renyi_entropy(g, alpha):.6f}")

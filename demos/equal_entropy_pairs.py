@@ -33,7 +33,7 @@ for grp in groups:
     if k26 not in grp.members:
         continue
     for g6 in grp.members:
-        vals = density_spectrum(parse_graph6(g6)).values
+        vals = density_spectrum(parse_graph6(g6))
         pretty = " ".join(f"{v:.6f}" for v in vals)
         tag = " (K_{2,6})" if g6 == k26 else ""
         print(f"{g6:8} [{pretty}]{tag}")

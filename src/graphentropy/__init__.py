@@ -34,7 +34,7 @@ from .graphs import (
     star,
     write_graph6,
 )
-from .spectral import DEFAULT_TOL, Spectrum, density_spectrum, eigenvalues_symmetric
+from .spectral import DEFAULT_TOL, density_spectrum, eigenvalues_symmetric
 from .entropy import (
     EntropyReport,
     Majorization,
@@ -90,7 +90,7 @@ __all__ = [
     "from_edges", "is_connected", "laplacian", "matching_number", "max_degree",
     "parse_graph6", "path", "star", "write_graph6",
     # spectral
-    "DEFAULT_TOL", "Spectrum", "density_spectrum", "eigenvalues_symmetric",
+    "DEFAULT_TOL", "density_spectrum", "eigenvalues_symmetric",
     # entropy
     "EntropyReport", "Majorization", "bipartite_entropy_closed",
     "density_test", "entropy_augmentation", "entropy_report",

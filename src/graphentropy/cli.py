@@ -16,6 +16,7 @@ significant digits in every format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -149,6 +150,8 @@ def _write_csv(rows: Iterable[dict]) -> None:
 def _cmd_entropy(args: argparse.Namespace) -> int:
     if (args.family is None) != (args.n is None):  # before any input is read
         raise ValueError("--family needs --n" if args.family else "--n is used only with --family")
+    if args.family and args.input is not None:
+        raise ValueError("--input is not read with --family")
     alphas = [float(a) for a in args.alpha] if args.alpha else []
     rows = (_report_row(g, alphas) for g in _iter_input_graphs(args))
     if args.format == "json":
@@ -172,15 +175,14 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         raise ValueError(f"table1 orders must be at most {CENSUS_MAX}, got {orders[-1]}")
     workers = _threads(args)
     rows = []
-    failing_all: list[str] = []
-    for n in orders:
-        failures, total, failing = table1_row(n, workers=workers)
-        rows.append({"n": n, "failures": failures, "total": total})
-        failing_all.extend(failing)
-    if args.emit_failing:
-        with open(args.emit_failing, "w", encoding="ascii") as fh:
-            for g6 in failing_all:
-                fh.write(g6 + "\n")
+    # opened before the first scan, so that a path that cannot be written fails at once
+    sink = open(args.emit_failing, "w", encoding="ascii") if args.emit_failing else None
+    with sink or contextlib.nullcontext():
+        for n in orders:
+            failures, total, failing = table1_row(n, workers=workers)
+            rows.append({"n": n, "failures": failures, "total": total})
+            if sink is not None:
+                sink.writelines(g6 + "\n" for g6 in failing)
     if args.format == "json":
         for row in rows:
             print(json.dumps(row))

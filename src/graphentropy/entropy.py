@@ -77,12 +77,12 @@ def renyi_entropy(p: Sequence[float], alpha: float) -> float:
 
 def von_neumann_entropy(g: Graph) -> float:
     """S(G): Shannon entropy of the scaled-Laplacian eigenvalues."""
-    return shannon_entropy(density_spectrum(g).values)
+    return shannon_entropy(density_spectrum(g))
 
 
 def graph_renyi_entropy(g: Graph, alpha: float) -> float:
     """H_alpha(G) over the scaled-Laplacian eigenvalues."""
-    return renyi_entropy(density_spectrum(g).values, alpha)
+    return renyi_entropy(density_spectrum(g), alpha)
 
 
 def star_entropy_closed(n: int) -> float:
@@ -306,8 +306,8 @@ def entropy_report(g: Graph, alphas: Iterable[float] = ()) -> EntropyReport:
     if g.m == 0:
         return EntropyReport(write_graph6(g), g.n, g.m, None, {}, None, None, dens)
     spec = density_spectrum(g)
-    s = shannon_entropy(spec.values)
-    hs = {float(a): renyi_entropy(spec.values, float(a)) for a in alphas}
+    s = shannon_entropy(spec)
+    hs = {float(a): renyi_entropy(spec, float(a)) for a in alphas}
     for a, h in hs.items():
         if a > 1.0 and s < h - DIST_TOL:
             raise ArithmeticError(f"S < H_{a} beyond tolerance: entropy ordering broken")

@@ -62,6 +62,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     _bit_vertices,
+    _check_order,
     _graph6_bytes,
     component_count,
     is_connected,
@@ -426,8 +427,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     pure-Python search is honest but slow. ``connected_only`` filters the
     same stream, so it saves no generation work.
     """
-    if not 1 <= n <= 64:
-        raise ValueError(f"order must be in 1..64, got {n}")
+    _check_order(n)
     if workers > 1 and n > _SHARD_DEPTH + 1:
         adjs = _parallel(n, workers)
     else:
@@ -516,8 +516,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     come in the order of networkx's ``nonisomorphic_trees``, which runs the
     same algorithm.
     """
-    if not 1 <= n <= 64:
-        raise ValueError(f"order must be in 1..64, got {n}")
+    _check_order(n)
     if n == 1:
         yield Graph(1, (0,))
         return

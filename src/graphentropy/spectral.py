@@ -12,20 +12,12 @@ rather than noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, laplacian
 
 DEFAULT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in descending order, cleaned with ``DEFAULT_TOL``."""
-
-    values: tuple[float, ...]
 
 
 def eigenvalues_symmetric(mat) -> list[float]:
@@ -52,8 +44,9 @@ def eigenvalues_symmetric(mat) -> list[float]:
     return w[::-1].tolist()
 
 
-def density_spectrum(g: Graph) -> Spectrum:
-    """Spectrum of rho(G) = L(G)/d_G, cleaned to an exact distribution shape.
+def density_spectrum(g: Graph) -> tuple[float, ...]:
+    """Eigenvalues of rho(G) = L(G)/d_G, descending, cleaned to an exact
+    distribution shape with ``DEFAULT_TOL``.
 
     Raises for edgeless graphs (d_G = 0), for eigenvalues below
     ``-DEFAULT_TOL`` (L is positive semidefinite, so that would be a solver
@@ -73,7 +66,7 @@ def density_spectrum(g: Graph) -> Spectrum:
         raise ArithmeticError("cleaned spectrum does not sum to 1")
     if vals[-1] != 0.0:
         raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")
-    return Spectrum(tuple(vals))
+    return tuple(vals)
 
 
 def density_spectra(rows: np.ndarray) -> np.ndarray:

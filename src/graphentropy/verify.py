@@ -159,11 +159,15 @@ def _spectra(n: int, workers: int, edged: bool = False) -> Iterator[tuple[list[f
         yield from zip(density_spectra(rows).tolist(), words)
 
 
+def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
+    """Degree sequences of stacked adjacency rows, one per row, in Python ints."""
+    return (DegreeSequence(tuple(degs)) for degs in np.bitwise_count(rows).tolist())
+
+
 def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
-    """(degree sequence, graph6 word) per connected class, in Python ints."""
+    """(degree sequence, graph6 word) per connected class."""
     for rows, words in _scan(n, workers):
-        for degs, g6 in zip(np.bitwise_count(rows).tolist(), words):
-            yield DegreeSequence(tuple(degs)), g6
+        yield from zip(_degree_sequences(rows), words)
 
 
 def _graphs(n: int, workers: int) -> Iterator[tuple[Graph, str]]:
@@ -172,12 +176,17 @@ def _graphs(n: int, workers: int) -> Iterator[tuple[Graph, str]]:
         yield from zip((Graph(n, tuple(adj)) for adj in rows.tolist()), words)
 
 
-def _is_star(g: Graph) -> bool:
-    return g.m == g.n - 1 and max_degree(g) == g.n - 1
+def _is_star(d: DegreeSequence) -> bool:
+    """Whether a connected graph with degrees ``d`` is the star K_{1,n-1}."""
+    n = len(d.degrees)
+    return d.d_sum == 2 * n - 2 and max(d.degrees) == n - 1
 
 
-def _is_path(g: Graph) -> bool:
-    return g.m == g.n - 1 and max_degree(g) <= 2
+def _strict_extreme(extremes: _Extremes, expected: object, message: str) -> None:
+    """A proved strict extreme: raise TheoremViolation(message) unless
+    ``expected`` is the best value and no other class ties it."""
+    if not (extremes.best() == expected and len(extremes.tags()) == 1):
+        raise TheoremViolation(message)
 
 
 def _canon_g6(g: Graph) -> str:
@@ -239,8 +248,9 @@ def verify_tree_extremes(
     path unique maximum are proved, so any failure raises TheoremViolation.
     ``entropy="S"``: floating scan reporting whether the path is the unique
     maximizer (open statement); trees tying or beating the path are
-    witnesses, with S from one stacked ``density_spectra`` per ``TREE_BLOCK``
-    trees. Above ``CANON_MAX`` it raises ValueError before making a tree.
+    witnesses. Trees are stacked ``TREE_BLOCK`` at a time as uint16 adjacency rows,
+    which give their degrees and, for S, one ``density_spectra`` call.
+    Above ``CANON_MAX`` it raises ValueError before making a tree.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -256,16 +266,17 @@ def verify_tree_extremes(
     rows: list[tuple[Fraction | float, str]] = []
     trees = enumerate_trees(n)
     while block := list(itertools.islice(trees, TREE_BLOCK)):
+        adjs = np.array([g.adj for g in block], dtype=np.uint16)
+        degrees = list(_degree_sequences(adjs))
         if exact:
-            values = [tr2(degree_sequence(g)) for g in block]
+            values = [tr2(d) for d in degrees]
         else:
-            adjs = np.array([g.adj for g in block], dtype=np.uint16)
             values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
-        for g, value in zip(block, values):
+        for g, d, value in zip(block, degrees, values):
             g6 = _canon_g6(g)
-            if _is_star(g):
+            if _is_star(d):
                 star_value = value
-            if _is_path(g):
+            if max(d.degrees) <= 2:  # the only such tree is the path
                 path_value, path_g6 = value, g6
             top.offer(value, g6)
             bottom.offer(value, g6)
@@ -273,14 +284,9 @@ def verify_tree_extremes(
     if exact:
         # smaller tr2 = larger H_2. Star must have the strictly largest tr2,
         # path the strictly smallest, over all trees.
-        if not (top.best() == star_value and len(top.tags()) == 1):
-            raise TheoremViolation(
-                f"star is not the unique H_2 minimizer among trees on {n} vertices"
-            )
-        if not (bottom.best() == path_value and len(bottom.tags()) == 1):
-            raise TheoremViolation(
-                f"path is not the unique H_2 maximizer among trees on {n} vertices"
-            )
+        trees_n = f"among trees on {n} vertices"
+        _strict_extreme(top, star_value, f"star is not the unique H_2 minimizer {trees_n}")
+        _strict_extreme(bottom, path_value, f"path is not the unique H_2 maximizer {trees_n}")
         stats = {
             "classes": len(rows),
             "star_tr2": str(star_value),
@@ -316,7 +322,7 @@ def verify_renyi_star_min(
     raises TheoremViolation. Other alpha > 1 are open statements scanned in
     floating point.
     """
-    if alpha <= 1:
+    if not alpha > 1:  # NaN too
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
@@ -340,13 +346,11 @@ def verify_renyi_star_min(
     for d, g6 in _degrees(n, workers):
         classes += 1
         t = tr2(d)
-        if d.d_sum == 2 * n - 2 and max(d.degrees) == n - 1:
+        if _is_star(d):
             star_t = t
         most.offer(t, g6)
-    if not (most.best() == star_t and len(most.tags()) == 1):
-        raise TheoremViolation(
-            f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
-        )
+    msg = f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
+    _strict_extreme(most, star_t, msg)
     stats = {
         "classes": classes,
         "alpha": 2.0,
@@ -363,7 +367,7 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     Both parts are proved, so violations raise TheoremViolation; the result
     always holds when it returns. Edgeless graphs are skipped (no entropy).
     """
-    if alpha <= 1:
+    if not alpha > 1:  # NaN too
         raise ValueError("need alpha > 1")
     if n < 2:
         raise ValueError("need n >= 2")
@@ -455,7 +459,7 @@ def edge_add_decrease_search(
     min_bound_margin = math.inf
     for g, g6 in _graphs(n, workers):
         classes += 1
-        s_before = shannon_entropy(density_spectrum(g).values)
+        s_before = shannon_entropy(density_spectrum(g))
         d = 2 * g.m
         degs = degree_sequence(g).degrees
         is_k2n2 = (
@@ -465,7 +469,7 @@ def edge_add_decrease_search(
         )
         for u, v in g.non_edges():
             h = add_edge(g, u, v)
-            s_after = shannon_entropy(density_spectrum(h).values)
+            s_after = shannon_entropy(density_spectrum(h))
             margin = s_after - (d / (d + 2)) * s_before
             if margin < min_bound_margin:
                 min_bound_margin = margin
@@ -525,7 +529,7 @@ def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
         i = j
         if len(sub) < 2:
             continue
-        specs = [density_spectrum(parse_graph6(g6)).values for _, g6 in sub]
+        specs = [density_spectrum(parse_graph6(g6)) for _, g6 in sub]
         distinct = _distinct_spectra(specs)
         if distinct > 1:
             groups.append(

@@ -126,7 +126,7 @@ def test_criterion_04_collision_entropy_identities():
     for n in range(2, 8):
         for g in enumerate_graphs(n, connected_only=True):
             classes += 1
-            probs = density_spectrum(g).values
+            probs = density_spectrum(g)
             h2_spec = renyi_entropy(probs, 2.0)
             h2_deg = h2_degree(degree_sequence(g))
             dev = max(dev, abs(h2_spec - h2_deg))
@@ -217,12 +217,19 @@ def test_criterion_08_equal_entropy_different_spectra():
     k26 = write_graph6(canonical_form(complete_bipartite(2, 6)).graph())
     s_k26 = bipartite_entropy_closed(2, 6)
     groups = coentropy_search(8)
+    # the whole result: the n=7 fingerprints have no group, so this is what
+    # pins _distinct_spectra
+    assert [(f"{g.entropy:.12g}", g.members, g.distinct_spectra) for g in groups] == [
+        ("2.52205520887", ["G??F~w", "G`?G^{"], 2),
+        ("2.64160416787", ["G?K~~{", "G?B~~{"], 2),
+        ("2.66012975263", ["G?B~v{", "G?K~~w"], 2),
+    ]
     partner_ok = False
     for grp in groups:
         if k26 not in grp.members:
             continue
         for g6 in grp.members:
-            vals = density_spectrum(parse_graph6(g6)).values
+            vals = density_spectrum(parse_graph6(g6))
             if all(abs(v - float(p)) <= 1e-7 for v, p in zip(vals, spec_b)):
                 member_s = shannon_entropy(vals)
                 if abs(member_s - s_k26) <= 1e-9:

@@ -13,7 +13,7 @@ from graphentropy.cli import _run_claim, _threads, main
 from graphentropy.enumeration import clear_census
 from graphentropy.entropy import star_entropy_closed
 from graphentropy.enumeration import canonical_form
-from graphentropy.graphs import path, star, write_graph6
+from graphentropy.graphs import degree_sequence, path, star, write_graph6
 
 
 def run(capsys, *argv):
@@ -52,8 +52,12 @@ def test_entropy_reads_stdin_by_default(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(("--family", "star"), "needs --n"), (("--n", "8"), "--n is used only with --family")],
-    ids=["family-without-n", "n-without-family"],
+    [
+        (("--family", "star"), "needs --n"),
+        (("--n", "8"), "--n is used only with --family"),
+        (("--family", "star", "--n", "3", "--input", "/nonexistent/file.g6"), "--input"),
+    ],
+    ids=["family-without-n", "n-without-family", "family-with-input"],
 )
 def test_entropy_rejects_family_and_n_apart_before_reading_input(capsys, monkeypatch, argv, flag):
     monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
@@ -119,6 +123,16 @@ def test_table1_emit_failing(capsys, tmp_path):
     rc, _, _ = run(capsys, "table1", "--n", "3", "--emit-failing", str(dest))
     assert rc == 0
     assert dest.read_text() == write_graph6(canonical_form(path(3)).graph()) + "\n"
+
+
+def test_table1_emit_failing_opens_its_file_before_the_first_scan(capsys, monkeypatch, tmp_path):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("table1_row called")
+
+    monkeypatch.setattr(cli, "table1_row", no_scan)
+    dest = tmp_path / "missing" / "out.g6"
+    rc, out, err = run(capsys, "table1", "--n", "2..8", "--emit-failing", str(dest))
+    assert rc == 1 and out == "" and "error:" in err and str(dest) in err
 
 
 def test_table1_emit_failing_empty_when_none(capsys, tmp_path):
@@ -260,6 +274,18 @@ def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == "" and "error:" in err
     assert "density matrix" not in err
+
+
+def test_verify_theorem_violation_exits_two(capsys, monkeypatch):
+    # a tree with a vertex of degree 4 ties the star's tr2 at n=6
+    real = verify.tr2
+    star_tr2 = real(degree_sequence(star(6)))
+    monkeypatch.setattr(verify, "tr2", lambda d: star_tr2 if max(d.degrees) >= 4 else real(d))
+    rc, out, err = run(capsys, "verify", "tree-extremes", "--n", "6", "--entropy", "H2")
+    assert rc == 2 and out == ""
+    assert err == (
+        "THEOREM VIOLATION: star is not the unique H_2 minimizer among trees on 6 vertices\n"
+    )
 
 
 def test_augment_rejects_huge_searches_before_any_eigensolve(capsys, monkeypatch):

@@ -155,6 +155,43 @@ def test_tree_extremes_path_maximizes_shannon():
         assert canon_g6(star(n)) in res.stats["min_graphs"]
 
 
+def _tie_tr2(monkeypatch, value, ties):
+    """Patch verify.tr2 to give ``value`` to every degree sequence ``ties`` picks."""
+    real = verify.tr2
+    monkeypatch.setattr(verify, "tr2", lambda d: value if ties(d) else real(d))
+
+
+def test_tree_extremes_h2_raises_unless_star_and_path_are_strict(monkeypatch):
+    star_tr2 = verify.tr2(degree_sequence(star(6)))
+    path_tr2 = verify.tr2(degree_sequence(path(6)))
+    _tie_tr2(monkeypatch, star_tr2, lambda d: max(d.degrees) >= 4)
+    with pytest.raises(TheoremViolation) as exc:
+        verify_tree_extremes(6, entropy="H2")
+    assert str(exc.value) == "star is not the unique H_2 minimizer among trees on 6 vertices"
+    monkeypatch.undo()
+    _tie_tr2(monkeypatch, path_tr2, lambda d: max(d.degrees) <= 3)
+    with pytest.raises(TheoremViolation) as exc:
+        verify_tree_extremes(6, entropy="H2")
+    assert str(exc.value) == "path is not the unique H_2 maximizer among trees on 6 vertices"
+
+
+@pytest.mark.parametrize(
+    "value, ties",
+    [
+        (verify.tr2(degree_sequence(star(5))), lambda d: max(d.degrees) == 4),  # a tie
+        (Fraction(1), lambda d: d.d_sum == 20),  # K5 beats the star
+    ],
+    ids=["tie", "beaten"],
+)
+def test_renyi_star_min_alpha2_raises_unless_star_is_strict(monkeypatch, value, ties):
+    _tie_tr2(monkeypatch, value, ties)
+    with pytest.raises(TheoremViolation) as exc:
+        verify_renyi_star_min(5, 2.0)
+    assert str(exc.value) == (
+        "star is not the strictly unique tr2 maximum over connected graphs on 5 vertices"
+    )
+
+
 def test_tree_extremes_validation():
     with pytest.raises(ValueError):
         verify_tree_extremes(2)
@@ -189,11 +226,16 @@ def test_renyi_max_bound_attained_by_complete_graph():
         assert len(zeros) == 1 and parse_graph6(zeros[0]).m == 1
 
 
-def test_renyi_max_validation():
+def test_renyi_max_validation(monkeypatch):
     with pytest.raises(ValueError):
         verify_renyi_max(5, 1.0)
     with pytest.raises(ValueError):
         verify_renyi_max(1, 2.0)
+    # a NaN alpha is rejected before any class is enumerated
+    monkeypatch.setattr(verify, "census", None)
+    for engine in (verify_renyi_max, verify_renyi_star_min):
+        with pytest.raises(ValueError, match="need alpha > 1"):
+            engine(9, math.nan)
 
 
 # --- edge addition -----------------------------------------------------------------
