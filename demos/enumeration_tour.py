@@ -27,7 +27,7 @@ for n in range(1, 8):
     print(f"{n:>3} {total:>6} {conn:>10} {trees:>6}")
 
 # Canonical forms are labeling-independent: shuffle the vertices of any
-# graph and the canonical bytes come out identical.
+# graph and the canonical graph6 word comes out identical.
 print("\n=== canonical forms ignore vertex labels ===")
 rng = random.Random(7)
 g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])

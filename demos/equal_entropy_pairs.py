@@ -13,14 +13,13 @@ from graphentropy import (
     complete_bipartite,
     density_spectrum,
     parse_graph6,
-    write_graph6,
 )
 
 print("scanning 11117 connected graphs on 8 vertices...")
 groups = coentropy_search(8)
 print(f"{len(groups)} equal-entropy groups with at least two distinct spectra\n")
 
-k26 = write_graph6(canonical_form(complete_bipartite(2, 6)).graph())
+k26 = canonical_form(complete_bipartite(2, 6))
 
 for grp in groups:
     marker = "  <- contains K_{2,6}" if k26 in grp.members else ""

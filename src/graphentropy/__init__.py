@@ -37,7 +37,6 @@ from .graphs import (
 from .spectral import DEFAULT_TOL, density_spectrum, eigenvalues_symmetric
 from .entropy import (
     EntropyReport,
-    Majorization,
     bipartite_entropy_closed,
     density_test,
     entropy_augmentation,
@@ -45,19 +44,15 @@ from .entropy import (
     graph_renyi_entropy,
     h2_degree,
     k2n2_closed,
-    majorizes,
-    mediant_bounds,
     renyi_entropy,
     shannon_entropy,
     star_entropy_closed,
     star_test,
-    sum_squares_monotone_check,
     tr2,
     union_entropy,
     von_neumann_entropy,
 )
 from .enumeration import (
-    CanonicalForm,
     canonical_form,
     enumerate_graphs,
     enumerate_trees,
@@ -92,15 +87,13 @@ __all__ = [
     # spectral
     "DEFAULT_TOL", "density_spectrum", "eigenvalues_symmetric",
     # entropy
-    "EntropyReport", "Majorization", "bipartite_entropy_closed",
-    "density_test", "entropy_augmentation", "entropy_report",
-    "graph_renyi_entropy", "h2_degree", "k2n2_closed", "majorizes",
-    "mediant_bounds", "renyi_entropy", "shannon_entropy",
-    "star_entropy_closed", "star_test", "sum_squares_monotone_check", "tr2",
-    "union_entropy", "von_neumann_entropy",
+    "EntropyReport", "bipartite_entropy_closed", "density_test",
+    "entropy_augmentation", "entropy_report", "graph_renyi_entropy",
+    "h2_degree", "k2n2_closed", "renyi_entropy", "shannon_entropy",
+    "star_entropy_closed", "star_test", "tr2", "union_entropy",
+    "von_neumann_entropy",
     # enumeration
-    "CanonicalForm", "canonical_form", "enumerate_graphs", "enumerate_trees",
-    "stream_graph6",
+    "canonical_form", "enumerate_graphs", "enumerate_trees", "stream_graph6",
     # verify
     "CoentropyGroup", "ParamComparison", "TheoremViolation",
     "VerificationResult", "coentropy_search", "edge_add_decrease_search",

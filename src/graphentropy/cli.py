@@ -9,8 +9,8 @@ completion, 1 usage or input error, 2 a proved statement failed (bug),
 3 a scan reported counterexamples.
 
 Stdout is deterministic: identical inputs give byte-identical output for any
-thread count (timings go to stderr only), and floats are rounded to 12
-significant digits in every format.
+thread count (timings go to stderr only). Floats are rounded to 12 significant
+digits in every format, and infinities are the strings "inf" and "-inf".
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ EXIT_COUNTEREXAMPLE = 3
 
 
 def _round12(obj):
-    """Round every float to 12 significant digits; stringify fractions."""
+    """Round every float to 12 significant digits; stringify fractions and infinities."""
     if isinstance(obj, float):
+        if math.isinf(obj):
+            return f"{obj:g}"  # "inf" or "-inf": JSON has no infinity
         return float(f"{obj:.12g}")
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -156,7 +158,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     rows = (_report_row(g, alphas) for g in _iter_input_graphs(args))
     if args.format == "json":
         for row in rows:
-            print(json.dumps(row))
+            print(json.dumps(row, allow_nan=False))
     elif args.format == "csv":
         _write_csv(rows)
     else:
@@ -185,7 +187,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                 sink.writelines(g6 + "\n" for g6 in failing)
     if args.format == "json":
         for row in rows:
-            print(json.dumps(row))
+            print(json.dumps(row, allow_nan=False))
     elif args.format == "csv":
         _write_csv(rows)
     else:
@@ -261,7 +263,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "stats": result.stats,
     }
     if args.format == "json":
-        print(json.dumps(_round12(body)))
+        print(json.dumps(_round12(body), allow_nan=False))
     else:
         print(f"claim: {body['claim']}  n={body['order']}  universe={body['universe']}")
         print(f"holds: {body['holds']}")

@@ -15,9 +15,8 @@ degree sequence alone,
 which lets several comparisons be decided in exact integer arithmetic with no
 floating point at all. This module provides the generic entropies, the closed
 forms for stars and complete bipartite graphs, the degree-based H_2 with its
-exact-rational core, the star and density decision tests, majorization
-helpers, and a small search that looks for edge augmentations reaching a
-target entropy.
+exact-rational core, the star and density decision tests, and a small
+search that looks for edge augmentations reaching a target entropy.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -56,8 +54,10 @@ def shannon_entropy(p: Sequence[float]) -> float:
 def renyi_entropy(p: Sequence[float], alpha: float) -> float:
     """Renyi alpha-entropy in bits; alpha = 1 is Shannon, alpha = inf is -log2(max p).
 
-    Evaluated as (alpha log2 p_max + log2 sum (p/p_max)^alpha) / (1 - alpha):
-    the sum is at least 1, so no alpha underflows it to 0.
+    Evaluated in t = alpha - 1, with q = p / p_max and P = sum p, as
+    -log2(p_max / P) - log1p(sum p (q^t - 1) / P) / (t ln 2). Each p (q^t - 1)
+    is p expm1(t ln q) while t ln q < 1, else p_max q^alpha - p, which cannot
+    overflow; so nothing cancels as alpha nears 1 or overflows as alpha grows.
     """
     if math.isnan(alpha):
         raise ValueError("alpha must be a number, got nan")
@@ -71,8 +71,15 @@ def renyi_entropy(p: Sequence[float], alpha: float) -> float:
     top = max(probs)
     if alpha == math.inf:
         return -math.log2(top) + 0.0
-    power = math.fsum((x / top) ** alpha for x in probs if x > 0.0)
-    return (alpha * math.log2(top) + math.log2(power)) / (1.0 - alpha) + 0.0
+    total = math.fsum(probs)
+    t = alpha - 1.0
+    excess = []
+    for x in probs:
+        if x > 0.0:
+            u = t * math.log(x / top)
+            excess.append(x * math.expm1(u) if u < 1.0 else top * (x / top) ** alpha - x)
+    spread = math.log1p(math.fsum(excess) / total) / (t * math.log(2.0))
+    return -math.log2(top / total) - spread + 0.0
 
 
 def von_neumann_entropy(g: Graph) -> float:
@@ -166,66 +173,6 @@ def union_entropy(parts: Sequence[tuple[float, int]]) -> float:
     total = sum(d for _, d in parts)
     mix = [(s, d / total) for s, d in parts]
     return math.fsum(c * s for s, c in mix) + math.fsum(-c * math.log2(c) for _, c in mix)
-
-
-class Majorization(Enum):
-    """Outcome of a majorization comparison between equal-sum sequences."""
-
-    STRICTLY_MAJORIZES = "StrictlyMajorizes"
-    WEAKLY_MAJORIZES = "WeaklyMajorizes"
-    NO = "No"
-
-
-def majorizes(c: Sequence[int], b: Sequence[int]) -> Majorization:
-    """Whether c majorizes b: every descending prefix sum of c >= that of b.
-
-    Requires equal lengths and equal totals. Returns STRICTLY_MAJORIZES when
-    at least one prefix inequality is strict, WEAKLY_MAJORIZES when all are
-    ties (the sorted sequences coincide), NO otherwise.
-    """
-    if len(c) != len(b):
-        raise ValueError("sequences must have equal length")
-    if sum(c) != sum(b):
-        raise ValueError("sequences must have equal sums")
-    cs = sorted(c, reverse=True)
-    bs = sorted(b, reverse=True)
-    strict = False
-    pc = pb = 0
-    for x, y in zip(cs, bs):
-        pc += x
-        pb += y
-        if pc < pb:
-            return Majorization.NO
-        if pc > pb:
-            strict = True
-    return Majorization.STRICTLY_MAJORIZES if strict else Majorization.WEAKLY_MAJORIZES
-
-
-def sum_squares_monotone_check(c: Sequence[int], b: Sequence[int]) -> bool:
-    """Check that majorization pushes up the sum of squares.
-
-    Requires majorizes(c, b) != NO. Returns the truth of
-    sum c_i^2 > sum b_i^2 under strict majorization, >= under weak.
-    """
-    rel = majorizes(c, b)
-    if rel is Majorization.NO:
-        raise ValueError("precondition failed: c does not majorize b")
-    sc = sum(x * x for x in c)
-    sb = sum(x * x for x in b)
-    return sc > sb if rel is Majorization.STRICTLY_MAJORIZES else sc >= sb
-
-
-def mediant_bounds(s: Sequence[int], t: Sequence[int]) -> tuple[float, float]:
-    """(min, max) of the ratios s_i/t_i; the mediant sum(s)/sum(t) lies between.
-
-    All t_i must be positive.
-    """
-    if len(s) != len(t) or not s:
-        raise ValueError("need two equal-length nonempty sequences")
-    if any(x <= 0 for x in t):
-        raise ValueError("denominators must be positive")
-    ratios = [x / y for x, y in zip(s, t)]
-    return min(ratios), max(ratios)
 
 
 def k2n2_closed(n: int) -> tuple[float, float]:

@@ -13,15 +13,16 @@ whose upper-triangle adjacency bits (in graph6 column order) are
 lexicographically smallest, the graph relabeled by it is the canonical
 representative, and its graph6 encoding, written straight from those bits
 by ``graphs._graph6_bytes`` (the package's one graph6 encoder), is the
-canonical byte string. Isomorphic graphs have search trees that agree
-up to relabeling, so they get the same bytes. The minimum is taken over the
-leaves only, not over all n! orderings, so the bytes are in general not the
-smallest graph6 word of the class. Two leaves with the same encoding differ
-by an automorphism; discovered automorphisms prune sibling branches through
-their orbits, which keeps highly symmetric graphs (complete, complete
-bipartite) from exploding. A forest follows its first branch only (see
-``_forest_ordering``); for other graphs the search is exact but exponential
-in the worst case. Both serve the orders this package works at (n <= 16).
+canonical graph6 word that ``canonical_form`` returns as a str. Isomorphic
+graphs have search trees that agree up to relabeling, so they get the same
+word. The minimum is taken over the leaves only, not over all n! orderings,
+so the word is in general not the smallest graph6 word of the class. Two
+leaves with the same encoding differ by an automorphism; discovered
+automorphisms prune sibling branches through their orbits, which keeps highly
+symmetric graphs (complete, complete bipartite) from exploding. A forest
+follows its first branch only (see ``_forest_ordering``); for other graphs
+the search is exact but exponential in the worst case. Both serve the orders
+this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -229,19 +229,9 @@ def _relabel(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, 
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Canonical byte string of a graph; equal bytes iff isomorphic graphs."""
-
-    bytes: bytes
-
-    def graph(self) -> Graph:
-        """The canonical representative itself."""
-        return parse_graph6(self.bytes.decode("ascii"))
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of g: the smallest leaf encoding, for a forest its first leaf."""
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 word of g: the smallest leaf encoding, for a forest its
+    first leaf. Equal words iff isomorphic graphs."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonical forms are supported for n <= {CANON_MAX}")
     if g.m + component_count(g) == g.n:
@@ -253,7 +243,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         row = g.adj[v]
         for u in order[:j]:
             body = (body << 1) | ((row >> u) & 1)
-    return CanonicalForm(_graph6_bytes(g.n, body))
+    return _graph6_bytes(g.n, body).decode("ascii")
 
 
 def _forest_ordering(n: int, adj: tuple[int, ...]) -> list[int]:

@@ -78,22 +78,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "m", total // 2)  # a frozen field set once, here
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff uv is an edge."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        """Number of neighbors of v."""
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in increasing order."""
-        self._check_vertex(v)
-        return tuple(_bit_vertices(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []
@@ -112,10 +96,6 @@ class Graph:
             for k in _bit_vertices(row):
                 out.append((u, u + 1 + k))
         return out
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for order {self.n}")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, graph6={write_graph6(self)!r})"

@@ -189,12 +189,6 @@ def _strict_extreme(extremes: _Extremes, expected: object, message: str) -> None
         raise TheoremViolation(message)
 
 
-def _canon_g6(g: Graph) -> str:
-    # the tree generator does not emit canonical labelings; engines report
-    # canonical graph6 words so outputs are comparable across engines
-    return canonical_form(g).bytes.decode("ascii")
-
-
 def verify_star_min_von_neumann(
     n: int, witness_cap: int = DEFAULT_WITNESS_CAP, workers: int = 1
 ) -> VerificationResult:
@@ -273,7 +267,7 @@ def verify_tree_extremes(
         else:
             values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
         for g, d, value in zip(block, degrees, values):
-            g6 = _canon_g6(g)
+            g6 = canonical_form(g)  # WROM labels are not canonical; report canonical words
             if _is_star(d):
                 star_value = value
             if max(d.degrees) <= 2:  # the only such tree is the path

@@ -4,13 +4,14 @@ Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, Laplacians by one bit test per
 entry, matchings by trying all edge subsets, equitable partitions by
 re-scanning every cell for every splitter, graph6 words by appending one
-triangle bit at a time.
+triangle bit at a time, Renyi entropies in 60-digit decimal arithmetic.
 Slow on purpose; keep the orders tiny.
 """
 
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 from graphentropy.graphs import Graph
@@ -219,3 +220,18 @@ def reference_laplacian(g: Graph) -> list[list[int]]:
                 lap[u][v] = -1
                 lap[u][u] += 1
     return lap
+
+
+def reference_renyi(p: list[float], alpha: float) -> float:
+    """H_alpha of p / sum(p) in bits, straight from its definition
+    log2(sum q_i^alpha) / (1 - alpha), with every step in 60 digits.
+
+    Each float is converted exactly; alpha must be finite and != 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        probs = [Decimal(x) for x in p if x > 0]
+        total = sum(probs)
+        a = Decimal(alpha)
+        power = sum((x / total) ** a for x in probs)
+        return float(power.ln() / (1 - a) / Decimal(2).ln())

@@ -22,8 +22,17 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text):
+    # NaN, Infinity and -Infinity are Python's extensions, not JSON
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def json_lines(out):
-    return [json.loads(line) for line in out.splitlines() if line]
+    return [strict_json(line) for line in out.splitlines() if line]
 
 
 # --- entropy ----------------------------------------------------------------
@@ -122,7 +131,7 @@ def test_table1_emit_failing(capsys, tmp_path):
     dest = tmp_path / "failing.g6"
     rc, _, _ = run(capsys, "table1", "--n", "3", "--emit-failing", str(dest))
     assert rc == 0
-    assert dest.read_text() == write_graph6(canonical_form(path(3)).graph()) + "\n"
+    assert dest.read_text() == canonical_form(path(3)) + "\n"
 
 
 def test_table1_emit_failing_opens_its_file_before_the_first_scan(capsys, monkeypatch, tmp_path):
@@ -162,7 +171,7 @@ def test_table1_bad_range(capsys):
 def test_verify_star_min_holds_exit_zero(capsys):
     rc, out, err = run(capsys, "verify", "star-min-S", "--n", "5")
     assert rc == 0
-    body = json.loads(out)
+    body = strict_json(out)
     assert body["claim"] == "star-min-S" and body["holds"] is True
     assert "runtime" not in body  # timings live on stderr so stdout is stable
     assert "holds=True" in err
@@ -171,7 +180,7 @@ def test_verify_star_min_holds_exit_zero(capsys):
 def test_verify_counterexamples_exit_three(capsys):
     rc, out, _ = run(capsys, "verify", "edge-add-decrease", "--n", "5")
     assert rc == 3
-    body = json.loads(out)
+    body = strict_json(out)
     assert body["holds"] is False
     assert len(body["witnesses"]) == 3
     assert body["stats"]["k2n2_witness_found"] is True
@@ -185,7 +194,7 @@ def test_verify_witness_cap_zero_and_negative(capsys, claim):
     if claim == "renyi-star-min":
         argv += ["--alpha", "1.5"]
     rc, out, _ = run(capsys, *argv, "--witness-cap", "0")
-    body = json.loads(out)
+    body = strict_json(out)
     assert body["witnesses"] == []
     # decreases exist at n=5; the other claims hold there
     assert rc == (3 if claim == "edge-add-decrease" else 0)
@@ -197,7 +206,7 @@ def test_verify_witness_cap_zero_and_negative(capsys, claim):
 def test_verify_coentropy_wrapped(capsys):
     rc, out, _ = run(capsys, "verify", "coentropy", "--n", "4")
     assert rc == 0
-    body = json.loads(out)
+    body = strict_json(out)
     assert body["holds"] is True
     assert body["stats"]["group_count"] == len(body["stats"]["groups"])
 
@@ -205,14 +214,14 @@ def test_verify_coentropy_wrapped(capsys):
 def test_verify_param_compare(capsys):
     rc, out, _ = run(capsys, "verify", "param-compare", "--n", "4", "--param", "matching")
     assert rc == 0
-    stats = json.loads(out)["stats"]
+    stats = strict_json(out)["stats"]
     assert isinstance(stats["drop_count"], int) and isinstance(stats["rise_count"], int)
 
 
 def test_verify_tree_extremes_h2(capsys):
     rc, out, _ = run(capsys, "verify", "tree-extremes", "--n", "7", "--entropy", "H2")
     assert rc == 0
-    assert json.loads(out)["stats"]["exact"] is True
+    assert strict_json(out)["stats"]["exact"] is True
 
 
 def test_verify_renyi_requires_alpha(capsys):
@@ -293,6 +302,33 @@ def test_augment_rejects_huge_searches_before_any_eigensolve(capsys, monkeypatch
     empty20 = "S" + "?" * 32  # 190 absent edges: k = 5 asks for about 2e9 sets
     rc, out, err = run(capsys, "augment", "--input", empty20, "--k", "5", "--x", "1")
     assert rc == 1 and out == "" and "candidate edge sets" in err
+
+
+def test_round12_writes_infinities_as_strings():
+    body = cli._round12({"a": [math.inf, -math.inf, 1 / 3], "b": (2.0,)})
+    assert body == {"a": ["inf", "-inf", 0.333333333333], "b": [2.0]}
+
+
+@pytest.mark.parametrize("claim", ["renyi-max", "renyi-star-min"])
+def test_verify_infinite_alpha_prints_strict_json(capsys, claim):
+    rc, out, _ = run(capsys, "verify", claim, "--n", "5", "--alpha", "inf")
+    assert rc == 0
+    body = strict_json(out)
+    assert body["holds"] is True and body["stats"]["alpha"] == "inf"
+    rc, out, _ = run(capsys, "verify", claim, "--n", "5", "--alpha", "inf", "--format", "text")
+    assert rc == 0 and "  alpha: inf\n" in out
+
+
+@pytest.mark.parametrize(
+    "n, alpha", [("6", "1.0000000000000002"), ("5", "1e308")], ids=["near-one", "huge"]
+)
+def test_verify_renyi_max_holds_at_extreme_orders(capsys, n, alpha):
+    # the textbook Renyi form gives H = 3.0 and H = inf here, above log2(n - 1),
+    # which the engine would report as a TheoremViolation
+    rc, out, err = run(capsys, "verify", "renyi-max", "--n", n, "--alpha", alpha)
+    assert rc == 0, err
+    stats = strict_json(out)["stats"]
+    assert stats["max_entropy"] == stats["bound"] == pytest.approx(math.log2(int(n) - 1))
 
 
 def test_verify_text_format(capsys):

@@ -8,7 +8,6 @@ import pytest
 from graphentropy import entropy
 from graphentropy.entropy import (
     EntropyReport,
-    Majorization,
     bipartite_entropy_closed,
     density_test,
     entropy_augmentation,
@@ -16,13 +15,10 @@ from graphentropy.entropy import (
     graph_renyi_entropy,
     h2_degree,
     k2n2_closed,
-    majorizes,
-    mediant_bounds,
     renyi_entropy,
     shannon_entropy,
     star_entropy_closed,
     star_test,
-    sum_squares_monotone_check,
     tr2,
     union_entropy,
     von_neumann_entropy,
@@ -40,6 +36,8 @@ from graphentropy.graphs import (
     star,
 )
 from graphentropy.spectral import density_spectrum
+
+from _oracles import reference_renyi
 
 
 def random_dist(rng, k):
@@ -98,6 +96,37 @@ def test_renyi_large_infinite_and_nan_orders():
     assert renyi_entropy([1.0, 0.0], math.inf) == 0.0
     with pytest.raises(ValueError):
         renyi_entropy(p, math.nan)
+
+
+RENYI_DISTRIBUTIONS = [
+    [0.4, 0.3, 0.2, 0.1],
+    [0.5 + 5e-10, 0.25, 0.25],  # sums to 1 + 5e-10, inside DIST_TOL: H is of p / sum(p)
+    [0.5, 0.25, 0.25],
+    [0.7, 0.2, 0.1, 0.0],
+    [1.0, 5e-324],  # subnormal: p expm1((alpha - 1) ln(p / p_max)) overflows for alpha < 1
+    list(density_spectrum(path(7))),
+    list(density_spectrum(complete_bipartite(2, 5))),
+    list(density_spectrum(complete(6))),  # p_max = 0.2: 1e308 * log2(0.2) overflows
+]
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [0.001, 0.5, 1 - 2**-52, 1 - 2**-53, 1 + 2**-52, 1 - 1e-12, 1 + 1e-12, 1.5, 3.0],
+)
+def test_renyi_matches_decimal_oracle(alpha):
+    # near alpha = 1 the textbook form log2(sum p^alpha) / (1 - alpha) cancels:
+    # for [.4, .3, .2, .1] at alpha = 1 - 2**-53 it gives 4.0, above log2(4)
+    for p in RENYI_DISTRIBUTIONS:
+        assert renyi_entropy(p, alpha) == pytest.approx(reference_renyi(p, alpha), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e300, 1e308])
+def test_renyi_huge_orders_reach_the_min_entropy(alpha):
+    # alpha * log2(p_max) overflows for these orders; the entropy must not
+    for p in RENYI_DISTRIBUTIONS:
+        want = -math.log2(max(p) / math.fsum(p))
+        assert renyi_entropy(p, alpha) == pytest.approx(want, abs=1e-12)
 
 
 def test_renyi_nonincreasing_in_alpha():
@@ -234,7 +263,7 @@ def test_density_implies_star_on_small_orders():
                 assert star_test(degree_sequence(g), n)
 
 
-# --- unions, majorization, mediant -------------------------------------------
+# --- unions -------------------------------------------------------------------
 
 
 def test_union_entropy_matches_direct():
@@ -260,55 +289,6 @@ def test_union_entropy_validation():
         union_entropy([])
     with pytest.raises(ValueError):
         union_entropy([(1.0, 0)])
-
-
-def test_majorization_basics():
-    assert majorizes([3, 1], [2, 2]) is Majorization.STRICTLY_MAJORIZES
-    assert majorizes([2, 2], [2, 2]) is Majorization.WEAKLY_MAJORIZES
-    assert majorizes([2, 1, 2], [2, 2, 1]) is Majorization.WEAKLY_MAJORIZES
-    assert majorizes([2, 2], [3, 1]) is Majorization.NO
-    with pytest.raises(ValueError):
-        majorizes([1, 2], [1, 2, 0])
-    with pytest.raises(ValueError):
-        majorizes([1, 2], [2, 2])
-
-
-def test_majorization_by_robin_hood_transfers():
-    # moving a unit from a larger to a smaller entry is majorized by the original
-    rng = random.Random(15)
-    for _ in range(30):
-        k = rng.randint(2, 7)
-        c = [rng.randint(0, 9) for _ in range(k)]
-        b = list(c)
-        for _ in range(rng.randint(1, 4)):
-            hi = max(range(k), key=lambda i: b[i])
-            lo = min(range(k), key=lambda i: b[i])
-            if b[hi] - b[lo] >= 2:
-                b[hi] -= 1
-                b[lo] += 1
-        rel = majorizes(c, b)
-        assert rel is not Majorization.NO
-        assert sum_squares_monotone_check(c, b)
-
-
-def test_sum_squares_monotone_check_precondition():
-    with pytest.raises(ValueError):
-        sum_squares_monotone_check([2, 2], [3, 1])
-
-
-def test_mediant_bounds():
-    lo, hi = mediant_bounds([1, 3], [2, 4])
-    assert (lo, hi) == (0.5, 0.75)
-    rng = random.Random(16)
-    for _ in range(30):
-        k = rng.randint(1, 6)
-        s = [rng.randint(0, 20) for _ in range(k)]
-        t = [rng.randint(1, 20) for _ in range(k)]
-        lo, hi = mediant_bounds(s, t)
-        mediant = sum(s) / sum(t)
-        assert lo - 1e-12 <= mediant <= hi + 1e-12
-    with pytest.raises(ValueError):
-        mediant_bounds([1], [0])
 
 
 # --- the K_{2,n-2} family -----------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from graphentropy import enumeration, graphs
 from graphentropy.enumeration import (
     CENSUS_BLOCK,
-    CanonicalForm,
     canonical_form,
     census,
     clear_census,
@@ -63,12 +62,12 @@ def test_canonical_form_representative_is_isomorphic():
     for _ in range(30):
         n = rng.randint(2, 6)
         g = random_graph(rng, n)
-        rep = canonical_form(g).graph()
+        rep = parse_graph6(canonical_form(g))
         assert min_mask(n, edge_mask(rep)) == min_mask(n, edge_mask(g))
 
 
 def test_canonical_form_separates_classes():
-    # all classes at one order get pairwise distinct canonical bytes
+    # all classes at one order get pairwise distinct canonical words
     forms = [canonical_form(g) for g in enumerate_graphs(5)]
     assert len(set(forms)) == ALL_COUNTS[5]
 
@@ -91,8 +90,10 @@ def test_canonical_form_order_guard():
 def test_canonical_form_is_ordered_bytes():
     a = canonical_form(path(4))
     b = canonical_form(star(4))
-    assert isinstance(a, CanonicalForm) and isinstance(a.bytes, bytes)
+    # an ASCII graph6 word: it round-trips, and orders as its bytes do
+    assert isinstance(a, str) and write_graph6(parse_graph6(a)) == a
     assert (a < b) != (b < a)
+    assert (a < b) == (a.encode() < b.encode())
 
 
 def search_bytes(g):
@@ -122,7 +123,7 @@ def test_forest_path_matches_full_search():
     for n in range(1, 17):
         for _ in range(30):
             t = relabeled(rng, n, random_tree_edges(rng, n))
-            assert canonical_form(t).bytes == search_bytes(t)
+            assert canonical_form(t).encode() == search_bytes(t)
     for _ in range(300):
         n = rng.randint(2, 16)
         edges, start = [], 0
@@ -135,7 +136,7 @@ def test_forest_path_matches_full_search():
             n *= 2
         g = relabeled(rng, n, edges)
         assert g.m + component_count(g) == g.n
-        assert canonical_form(g).bytes == search_bytes(g)
+        assert canonical_form(g).encode() == search_bytes(g)
 
 
 def test_first_leaf_is_not_canonical_off_forests():
@@ -233,7 +234,7 @@ def test_enumeration_matches_labeled_brute_force():
 
 def test_enumeration_emits_canonical_representatives():
     for g in enumerate_graphs(5):
-        assert canonical_form(g).graph().adj == g.adj
+        assert parse_graph6(canonical_form(g)).adj == g.adj
 
 
 def test_enumeration_is_deterministic():

@@ -49,13 +49,13 @@ def test_canonical_bytes_fingerprint():
     stream = hashlib.sha256()
     for n in range(1, 15):
         for t in enumerate_trees(n):
-            stream.update(canonical_form(t).bytes + b"\n")
+            stream.update(canonical_form(t).encode() + b"\n")
     rng = random.Random(7)
     for g in enumerate_graphs(7):
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        stream.update(canonical_form(h).bytes + b"\n")
+        stream.update(canonical_form(h).encode() + b"\n")
     assert stream.hexdigest()[:16] == "5857c05b52e4c836"
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 import types
@@ -24,7 +25,13 @@ def test_all_names_are_unique_and_public():
 
 def test_import_leaves_networkx_unloaded():
     code = "import sys, graphentropy; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports the copy under test, also when only pytest's pythonpath finds it
+    src = str(Path(graphentropy.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
     assert out.stdout.strip() == "False"
 
 
