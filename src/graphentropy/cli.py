@@ -253,15 +253,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return EXIT_THEOREM
-    body = {
-        "claim": result.claim,
-        "order": result.order,
-        "universe": result.universe,
-        "holds": result.holds,
-        "extremal_graphs": result.extremal_graphs,
-        "witnesses": result.witnesses,
-        "stats": result.stats,
-    }
+    body = asdict(result)
+    del body["runtime"]  # stdout is deterministic; the runtime goes to stderr
     if args.format == "json":
         print(json.dumps(_round12(body), allow_nan=False))
     else:

@@ -54,7 +54,9 @@ def shannon_entropy(p: Sequence[float]) -> float:
 def renyi_entropy(p: Sequence[float], alpha: float) -> float:
     """Renyi alpha-entropy in bits; alpha = 1 is Shannon, alpha = inf is -log2(max p).
 
-    Evaluated in t = alpha - 1, with q = p / p_max and P = sum p, as
+    Every order, 1 and inf included, is taken of p / sum(p), so the value is
+    continuous in alpha even where p sums to 1 only within tolerance. Evaluated
+    in t = alpha - 1, with q = p / p_max and P = sum p, as
     -log2(p_max / P) - log1p(sum p (q^t - 1) / P) / (t ln 2). Each p (q^t - 1)
     is p expm1(t ln q) while t ln q < 1, else p_max q^alpha - p, which cannot
     overflow; so nothing cancels as alpha nears 1 or overflows as alpha grows.
@@ -64,14 +66,14 @@ def renyi_entropy(p: Sequence[float], alpha: float) -> float:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     probs = _validated(p)
+    total = math.fsum(probs)
     if alpha == 1.0:
-        return shannon_entropy(probs)
+        return shannon_entropy([x / total for x in probs])
     if alpha == 0.0:
         return math.log2(sum(1 for x in probs if x > 0.0))
     top = max(probs)
     if alpha == math.inf:
-        return -math.log2(top) + 0.0
-    total = math.fsum(probs)
+        return -math.log2(top / total) + 0.0
     t = alpha - 1.0
     excess = []
     for x in probs:

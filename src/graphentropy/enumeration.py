@@ -36,10 +36,11 @@ tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
 1998). The automorphisms are those the canonical search found, carried down
 the DFS in the canonical labeling; they may generate a proper subgroup, so
 the few duplicate children left within one parent are dropped by canonical
-form. Memory stays linear in the recursion depth; the emission order
-(children sorted by edge count then canonical adjacency rows, within their
-parent) is deterministic, including under the optional process-pool
-sharding.
+form. In one process, memory stays linear in the recursion depth; under
+the optional process-pool sharding, each shard returns its graphs as one
+list (``_shard_work``), so memory grows with the largest shard. The emission
+order (children sorted by edge count then canonical adjacency rows, within
+their parent) is deterministic, with or without sharding.
 
 Trees. ``enumerate_trees`` walks level sequences with the WROM free-tree
 generator (Wright, Richmond, Odlyzko & McKay, "Constant time generation of
@@ -502,9 +503,9 @@ def clear_census() -> None:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All free trees on n vertices, one per isomorphism class, by WROM.
 
-    Vertex i of each tree is entry i of its level sequence, and the trees
-    come in the order of networkx's ``nonisomorphic_trees``, which runs the
-    same algorithm.
+    Vertex i of each tree is entry i of its level sequence. The first tree
+    is the path and the last is the star; ``verify_tree_extremes`` relies on
+    the path coming first.
     """
     _check_order(n)
     if n == 1:

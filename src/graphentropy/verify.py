@@ -43,7 +43,6 @@ from .graphs import (
     DegreeSequence,
     Graph,
     add_edge,
-    degree_sequence,
     diameter,
     matching_number,
     max_degree,
@@ -170,12 +169,6 @@ def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
         yield from zip(_degree_sequences(rows), words)
 
 
-def _graphs(n: int, workers: int) -> Iterator[tuple[Graph, str]]:
-    """(graph, graph6 word) per connected class."""
-    for rows, words in _scan(n, workers):
-        yield from zip((Graph(n, tuple(adj)) for adj in rows.tolist()), words)
-
-
 def _is_star(d: DegreeSequence) -> bool:
     """Whether a connected graph with degrees ``d`` is the star K_{1,n-1}."""
     n = len(d.degrees)
@@ -242,9 +235,12 @@ def verify_tree_extremes(
     path unique maximum are proved, so any failure raises TheoremViolation.
     ``entropy="S"``: floating scan reporting whether the path is the unique
     maximizer (open statement); trees tying or beating the path are
-    witnesses. Trees are stacked ``TREE_BLOCK`` at a time as uint16 adjacency rows,
-    which give their degrees and, for S, one ``density_spectra`` call.
-    Above ``CANON_MAX`` it raises ValueError before making a tree.
+    witnesses. One pass over ``enumerate_trees``, which yields the path first
+    (TheoremViolation if its first tree has a degree above 2): the path's value
+    is known before any other tree arrives, so each tree is decided as it
+    comes and none is kept. Trees are stacked ``TREE_BLOCK`` at a time as uint16
+    adjacency rows, which give the degrees for H2 and one ``density_spectra``
+    call for S. Above ``CANON_MAX`` it raises ValueError before making a tree.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -257,24 +253,29 @@ def verify_tree_extremes(
     exact = entropy == "H2"
     top = _Extremes(biggest=True, eps=0 if exact else EPS)
     bottom = _Extremes(eps=0 if exact else EPS)
-    rows: list[tuple[Fraction | float, str]] = []
+    classes = 0
     trees = enumerate_trees(n)
     while block := list(itertools.islice(trees, TREE_BLOCK)):
         adjs = np.array([g.adj for g in block], dtype=np.uint16)
-        degrees = list(_degree_sequences(adjs))
         if exact:
-            values = [tr2(d) for d in degrees]
+            values = []
+            for d in _degree_sequences(adjs):
+                values.append(tr2(d))
+                if _is_star(d):
+                    star_value = values[-1]
         else:
             values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
-        for g, d, value in zip(block, degrees, values):
+        if classes == 0:
+            if np.bitwise_count(adjs[0]).max() > 2:
+                raise TheoremViolation(f"the first tree on {n} vertices is not the path")
+            path_value = values[0]
+        for g, value in zip(block, values):
             g6 = canonical_form(g)  # WROM labels are not canonical; report canonical words
-            if _is_star(d):
-                star_value = value
-            if max(d.degrees) <= 2:  # the only such tree is the path
-                path_value, path_g6 = value, g6
+            if classes and not exact and value >= path_value - EPS:  # ties or beats the path
+                found.add(g6)
+            classes += 1
             top.offer(value, g6)
             bottom.offer(value, g6)
-            rows.append((value, g6))
     if exact:
         # smaller tr2 = larger H_2. Star must have the strictly largest tr2,
         # path the strictly smallest, over all trees.
@@ -282,7 +283,7 @@ def verify_tree_extremes(
         _strict_extreme(top, star_value, f"star is not the unique H_2 minimizer {trees_n}")
         _strict_extreme(bottom, path_value, f"path is not the unique H_2 maximizer {trees_n}")
         stats = {
-            "classes": len(rows),
+            "classes": classes,
             "star_tr2": str(star_value),
             "path_tr2": str(path_value),
             "exact": True,
@@ -291,11 +292,8 @@ def verify_tree_extremes(
         return _result("tree-extremes", n, t0, stats, extremal_graphs=extremal, universe="trees")
 
     # entropy == "S": is the path the unique maximizer of S among trees?
-    for s, g6 in rows:
-        if g6 != path_g6 and s >= path_value - EPS:
-            found.add(g6)
     stats = {
-        "classes": len(rows),
+        "classes": classes,
         "path_entropy": path_value,
         "max_entropy": top.best(),
         "min_entropy": bottom.best(),
@@ -451,16 +449,16 @@ def edge_add_decrease_search(
     classes = 0
     k2n2_found = False
     min_bound_margin = math.inf
-    for g, g6 in _graphs(n, workers):
+    graphs = (
+        (Graph(n, tuple(adj)), deg, g6)
+        for rows, words in _scan(n, workers)
+        for adj, deg, g6 in zip(rows.tolist(), _degree_sequences(rows), words)
+    )
+    for g, deg, g6 in graphs:
         classes += 1
         s_before = shannon_entropy(density_spectrum(g))
-        d = 2 * g.m
-        degs = degree_sequence(g).degrees
-        is_k2n2 = (
-            n >= 4
-            and g.m == 2 * (n - 2)
-            and sorted(degs) == [2] * (n - 2) + [n - 2, n - 2]
-        )
+        d, degs = deg.d_sum, deg.degrees
+        is_k2n2 = n >= 4 and sorted(degs) == [2] * (n - 2) + [n - 2, n - 2]
         for u, v in g.non_edges():
             h = add_edge(g, u, v)
             s_after = shannon_entropy(density_spectrum(h))

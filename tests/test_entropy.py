@@ -129,6 +129,14 @@ def test_renyi_huge_orders_reach_the_min_entropy(alpha):
         assert renyi_entropy(p, alpha) == pytest.approx(want, abs=1e-12)
 
 
+def test_renyi_is_continuous_at_one_and_infinity_off_the_simplex():
+    # sums to 1 + 5e-10, inside DIST_TOL: every order must see the same p / sum(p)
+    p = [0.5 + 5e-10, 0.25, 0.25]
+    for alpha in (1 - 2**-52, 1 + 2**-52):
+        assert renyi_entropy(p, alpha) == pytest.approx(renyi_entropy(p, 1.0), abs=1e-14)
+    assert renyi_entropy(p, 1e300) == pytest.approx(renyi_entropy(p, math.inf), abs=1e-14)
+
+
 def test_renyi_nonincreasing_in_alpha():
     rng = random.Random(11)
     alphas = [0.0, 0.3, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0]

@@ -357,6 +357,19 @@ def test_trees_are_trees():
         assert is_connected(t)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trees_start_at_the_path_and_end_at_the_star(n):
+    # verify_tree_extremes folds in one pass because the path comes first;
+    # among trees the sorted degrees single out the path and the star
+    trees = enumerate_trees(n)
+    first = last = next(trees)
+    for last in trees:
+        pass
+    path_degrees = [1, 1] + [2] * (n - 2) if n > 1 else [0]
+    assert sorted(row.bit_count() for row in first.adj) == path_degrees
+    assert sorted(row.bit_count() for row in last.adj) == [1] * (n - 1) + [n - 1]
+
+
 # --- graph6 streams ----------------------------------------------------------------
 
 

@@ -82,6 +82,8 @@ def test_tree_stream_fingerprint():
         ("table1 --n 2..7", "28ca38400e1d8b2f"),
         ("verify tree-extremes --n 12", "61391221a06dc97d"),
         ("verify tree-extremes --n 12 --entropy H2", "7b85df74914ab011"),
+        ("verify tree-extremes --n 15", "0efaa4f22eb59990"),
+        ("verify tree-extremes --n 15 --entropy H2", "8998870285c8e5a7"),
     ],
 )
 def test_cli_stdout_fingerprint(capsys, argv, expected):

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from graphentropy.entropy import renyi_entropy, star_entropy_closed, von_neumann_entropy
-from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
+from graphentropy.enumeration import (
+    CANON_MAX,
+    canonical_form,
+    enumerate_graphs,
+    enumerate_trees,
+)
 from graphentropy.graphs import (
     add_edge,
     complete,
@@ -197,6 +203,34 @@ def test_tree_extremes_validation():
         verify_tree_extremes(2)
     with pytest.raises(ValueError):
         verify_tree_extremes(6, entropy="H3")
+
+
+def test_tree_extremes_raises_unless_the_first_tree_is_the_path(monkeypatch):
+    # the fold takes the path's value from the first tree it is given
+    monkeypatch.setattr(verify, "enumerate_trees", lambda n: reversed(list(enumerate_trees(n))))
+    for entropy in ("S", "H2"):
+        with pytest.raises(TheoremViolation, match="the first tree on 7 vertices is not the path"):
+            verify_tree_extremes(7, entropy)
+
+
+def _traced_peak(scan):
+    tracemalloc.start()
+    try:
+        scan()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entropy", ["S", "H2"])
+def test_tree_extremes_memory_is_flat_in_n(monkeypatch, entropy):
+    # one pass keeps no row per tree: 19320 trees at n = 16 against 551 at
+    # n = 12. Canonical words are replaced by graph6 words of the same length,
+    # kept or dropped as canonical words are, because tracemalloc slows the
+    # canonical search about tenfold.
+    monkeypatch.setattr(verify, "canonical_form", write_graph6)
+    peaks = {n: _traced_peak(lambda: verify_tree_extremes(n, entropy)) for n in (12, 16)}
+    assert peaks[16] < 3 * peaks[12]
 
 
 def test_tree_extremes_rejects_orders_canonical_forms_do_not_reach(monkeypatch):
