@@ -3,26 +3,29 @@
 Canonical form. The search is individualization-refinement: an equitable
 partition refinement splits vertices by their neighbor counts into splitter
 cells until stable, and where a non-singleton cell remains, each member is
-individualized in turn. After individualizing v, only the new cell {v} and
-its remainder are queued as splitters: every other cell belongs to the
-equitable partition just refined, so its members' counts into any such cell
-already agree, in this and every finer partition, and skipping those no-op
-splitters changes neither the splits that act nor their order. Every leaf of
-that search tree is a vertex ordering; the canonical ordering is the leaf
-whose upper-triangle adjacency bits (in graph6 column order) are
-lexicographically smallest, the graph relabeled by it is the canonical
-representative, and its graph6 encoding, written straight from those bits
-by ``graphs._graph6_bytes`` (the package's one graph6 encoder), is the
+individualized in turn. Cells are vertex bitmasks, and a splitter is applied
+only to the non-singleton cells that hold a neighbor of one of its members;
+every other cell would keep a uniform count, so skipping it changes nothing
+(see ``_refine``). After individualizing v, only the new cell {v} and its
+remainder are queued as splitters: every other cell belongs to the equitable
+partition just refined, so its members' counts into any such cell already
+agree, in this and every finer partition, and skipping those no-op splitters
+changes neither the splits that act nor their order. Every leaf of that
+search tree is a vertex ordering; the canonical ordering is the leaf whose
+upper-triangle adjacency bits (in graph6 column order) are lexicographically
+smallest, the graph relabeled by it is the canonical representative, and its
+graph6 encoding, written straight from those bits by
+``graphs._graph6_bytes`` (the package's one graph6 encoder), is the
 canonical graph6 word that ``canonical_form`` returns as a str. Isomorphic
 graphs have search trees that agree up to relabeling, so they get the same
 word. The minimum is taken over the leaves only, not over all n! orderings,
 so the word is in general not the smallest graph6 word of the class. Two
 leaves with the same encoding differ by an automorphism; discovered
-automorphisms prune sibling branches through their orbits, which keeps highly
-symmetric graphs (complete, complete bipartite) from exploding. A forest
-follows its first branch only (see ``_forest_ordering``); for other graphs
-the search is exact but exponential in the worst case. Both serve the orders
-this package works at (n <= 16).
+automorphisms prune sibling branches through their orbits, which keeps
+highly symmetric graphs (complete, complete bipartite) from exploding. A
+forest follows its first branch only (see ``_forest_ordering``); for other
+graphs the search is exact but exponential in the worst case. Both serve the
+orders this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -33,12 +36,16 @@ every class exactly once, with no global seen-set. A child is the parent
 plus a new vertex joined to an attachment set; sets in one orbit under the
 parent's automorphisms give the same child, so only one set per orbit is
 tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998). The automorphisms are those the canonical search found, carried down
-the DFS in the canonical labeling; they may generate a proper subgroup, so
-the few duplicate children left within one parent are dropped by canonical
-form. In one process, memory stays linear in the recursion depth; under
-the optional process-pool sharding, each shard returns its graphs as one
-list (``_shard_work``), so memory grows with the largest shard. The emission
+1998). A child that passes the degree invariant is searched once; the
+automorphisms found there also decide which of its tied vertices still need
+a deletion search (one per orbit, none in the new vertex's orbit; see
+``_accepted``), and the same search relabels an accepted child. The
+automorphisms are those the canonical search found, carried down the DFS in
+the canonical labeling; they may generate a proper subgroup, so the few
+duplicate children left within one parent are dropped by canonical form. In
+one process, memory stays linear in the recursion depth; under the optional
+process-pool sharding, each shard returns its graphs as one list
+(``_shard_work``), so memory grows with the largest shard. The emission
 order (children sorted by edge count then canonical adjacency rows, within
 their parent) is deterministic, with or without sharding.
 
@@ -76,10 +83,8 @@ CANON_MAX = 16  # no canonical form above this order
 _AUT_CAP = 64  # keep at most this many discovered automorphisms per search
 
 
-def _refine(
-    adj: tuple[int, ...], cells: list[list[int]], fresh: Iterable[int]
-) -> list[list[int]]:
-    """Equitable refinement of an ordered partition.
+def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> list[int]:
+    """Equitable refinement of an ordered partition of vertex bitmasks.
 
     Splits every cell by its members' neighbor counts into a splitter cell
     (sub-cells ordered by count, each queued as a splitter) until the queue
@@ -92,29 +97,47 @@ def _refine(
     leaving the no-ops out keeps the splits that act in the same order, and
     the result is the one of queuing every cell. A cell is queued once, when
     it is made, so no splitter is ever applied twice.
+
+    Cells are vertex bitmasks. A splitter acts only on the non-singleton
+    cells (their union is ``open_``) that meet ``hit``, the union of its
+    members' rows: a cell missing ``hit`` counts 0 throughout, and a
+    singleton cannot split. So a splitter whose ``hit`` meets no open cell
+    is dropped whole (once every cell is a singleton, so is the rest of the
+    queue), and a pass counts only the cells that meet both; the rest keep
+    their places and make no sub-cells, so the cells split, the sub-cells
+    queued and their order are those of visiting every cell.
     """
-    queue = [sum(1 << v for v in cells[i]) for i in fresh]
-    while queue:
+    queue = [cells[i] for i in fresh]
+    open_ = 0
+    for cell in cells:
+        if cell & (cell - 1):
+            open_ |= cell
+    while queue and open_:
         splitter = queue.pop()
-        new_cells: list[list[int]] = []
+        hit = 0
+        for v in _bit_vertices(splitter):
+            hit |= adj[v]
+        live = hit & open_
+        if not live:
+            continue
+        new_cells: list[int] = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & live:
                 new_cells.append(cell)
                 continue
-            k = (adj[cell[0]] & splitter).bit_count()
-            for v in cell:
-                if (adj[v] & splitter).bit_count() != k:
-                    break
-            else:  # uniform count: the cell stays whole
+            by_count: dict[int, int] = {}
+            for v in _bit_vertices(cell):
+                k = (adj[v] & splitter).bit_count()
+                by_count[k] = by_count.get(k, 0) | 1 << v
+            if len(by_count) == 1:  # uniform count: the cell stays whole
                 new_cells.append(cell)
                 continue
-            by_count: dict[int, list[int]] = {}
-            for v in cell:
-                by_count.setdefault((adj[v] & splitter).bit_count(), []).append(v)
             for k in sorted(by_count):
                 sub = by_count[k]
                 new_cells.append(sub)
-                queue.append(sum(1 << v for v in sub))
+                queue.append(sub)
+                if not sub & (sub - 1):
+                    open_ ^= sub
         cells = new_cells
     return cells
 
@@ -142,13 +165,13 @@ def _canon_search(
     auts: Auts = []
     prefix: list[int] = []
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[int]) -> None:
         nonlocal best_perm
         added = 0
         idx = len(prefix)
         pruned = False
-        while idx < len(cells) and len(cells[idx]) == 1:
-            v = cells[idx][0]
+        while idx < len(cells) and not cells[idx] & (cells[idx] - 1):
+            v = cells[idx].bit_length() - 1
             av = adj[v]
             col = 0
             for u in prefix:
@@ -186,29 +209,19 @@ def _canon_search(
                 # only grows, so only the ones found since are tested
                 stable: Auts = []
                 tested = 0
-                for v in cell:
+                for v in _bit_vertices(cell):
                     if v in done:
                         continue
-                    others = [u for u in cell if u != v]
                     # only {v} and its remainder can split a cell: the rest
                     # are cells of the equitable partition ``cells``
-                    search(_refine(adj, head + [[v], others] + rest, (idx, idx + 1)))
-                    # orbit closure of the tried candidates under ``stable``
-                    done.add(v)
+                    search(_refine(adj, head + [1 << v, cell ^ (1 << v)] + rest, (idx, idx + 1)))
                     stable += [s for s in auts[tested:] if all(s[p] == p for p in prefix)]
                     tested = len(auts)
-                    grew = True
-                    while grew:
-                        grew = False
-                        for s in stable:
-                            for u in list(done):
-                                w = s[u]
-                                if w not in done:
-                                    done.add(w)
-                                    grew = True
+                    # the tried candidates' orbits under ``stable`` are done
+                    done = _orbits(done | {v}, stable)
         del prefix[len(prefix) - added:]
 
-    search(_refine(adj, [list(range(n))], (0,)))
+    search(_refine(adj, [(1 << n) - 1], (0,)))
     assert best_perm is not None
     return tuple(best_cols), tuple(best_perm), auts
 
@@ -254,14 +267,15 @@ def _forest_ordering(n: int, adj: tuple[int, ...]) -> list[int]:
     the orbit partition (Arvind, Koebler, Rattan & Verbitsky, Comput.
     Complexity 26, 2017), so every leaf of the search encodes the same graph.
     """
-    cells = _refine(adj, [list(range(n))], (0,))
+    cells = _refine(adj, [(1 << n) - 1], (0,))
     idx = 0
     while idx < len(cells):
-        if len(cells[idx]) > 1:
-            v, *others = cells[idx]
-            cells = _refine(adj, cells[:idx] + [[v], others] + cells[idx + 1:], (idx, idx + 1))
+        cell = cells[idx]
+        if cell & (cell - 1):
+            low = cell & -cell
+            cells = _refine(adj, cells[:idx] + [low, cell ^ low] + cells[idx + 1:], (idx, idx + 1))
         idx += 1
-    return [cell[0] for cell in cells]
+    return [cell.bit_length() - 1 for cell in cells]
 
 
 def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -275,8 +289,11 @@ def _delete_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> bool:
-    """Is the newest vertex (nc - 1) a canonical deletion point of this child?
+def _accepted(
+    nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], Auts] | None:
+    """The child's ``_canon_search`` if the newest vertex (nc - 1) is a
+    canonical deletion point of this child, else None.
 
     The rule: among vertices minimizing the invariant (degree, sorted
     neighbor degrees), the new vertex must be present, and no other minimal
@@ -287,6 +304,12 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
     Precondition: the new vertex already has minimum degree. ``_children``
     skips every attachment set that breaks it, so only the vertices of
     equal degree are compared here.
+
+    A child that passes the invariant is searched first; the automorphisms
+    found then spare deletion searches. A tied vertex in the new vertex's
+    orbit deletes to the parent itself, so it cannot reject; tied vertices
+    in one orbit delete to one class, so one search per orbit, at its
+    smallest tied member, decides them all.
     """
     degs = [a.bit_count() for a in adjc]
     vnew = nc - 1
@@ -302,14 +325,35 @@ def _accepted(nc: int, adjc: tuple[int, ...], parent_cols: tuple[int, ...]) -> b
         row = adjc[v]
         inv_v = sorted(degs[u] for u in _bit_vertices(row))
         if inv_v < inv_new:
-            return False
+            return None
         if inv_v == inv_new:
             ties.append(v)
-    for v in ties:
-        dcols, _, _ = _canon_search(nc - 1, _delete_vertex(adjc, v))
-        if dcols < parent_cols:
-            return False
-    return True
+    search = _canon_search(nc, adjc)
+    if ties:
+        auts = search[2]
+        done = _orbits({vnew}, auts)
+        for v in ties:
+            if v in done:
+                continue
+            dcols, _, _ = _canon_search(nc - 1, _delete_vertex(adjc, v))
+            if dcols < parent_cols:
+                return None
+            done = _orbits(done | {v}, auts)
+    return search
+
+
+def _orbits(vertices: set[int], auts: Auts) -> set[int]:
+    """The union of the orbits of ``vertices`` under the group the
+    permutations generate."""
+    closed = set(vertices)
+    todo = list(closed)
+    for u in todo:
+        for sigma in auts:
+            w = sigma[u]
+            if w not in closed:
+                closed.add(w)
+                todo.append(w)
+    return closed
 
 
 def _orbit_representatives(k: int, auts: Auts) -> Iterable[int]:
@@ -354,6 +398,8 @@ def _children(
     ``auts`` are automorphisms of ``adj``; attachment sets in one orbit under
     them give isomorphic children with the new vertex fixed (all accepted or
     all rejected, with one canonical form), so only one set per orbit is tried.
+    An accepted child's columns, ordering and automorphisms are the search
+    ``_accepted`` ran on it.
     """
     nc = k + 1
     degs = [a.bit_count() for a in adj]
@@ -372,9 +418,10 @@ def _children(
         if not ok:
             continue
         child = tuple(adj[v] | (((x >> v) & 1) << k) for v in range(k)) + (x,)
-        if not _accepted(nc, child, cols):
+        search = _accepted(nc, child, cols)
+        if search is None:
             continue
-        ccols, perm, cauts = _canon_search(nc, child)
+        ccols, perm, cauts = search
         if ccols not in seen:
             pos = [0] * nc
             for i, v in enumerate(perm):

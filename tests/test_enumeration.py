@@ -82,6 +82,37 @@ def test_canonical_form_highly_symmetric():
         assert canonical_form(g) == canonical_form(h)
 
 
+def is_automorphism(g, sigma):
+    # a permutation that maps every row onto the row of the image vertex
+    if sorted(sigma) != list(range(g.n)):
+        return False
+    return all(
+        sum(1 << sigma[w] for w in range(g.n) if g.adj[u] >> w & 1) == g.adj[sigma[u]]
+        for u in range(g.n)
+    )
+
+
+def test_search_automorphisms_preserve_adjacency():
+    # acceptance skips deletion searches by the orbits of these permutations,
+    # so each must be an automorphism of the searched graph
+    rng = random.Random(26)
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [complete(9), complete_bipartite(4, 4)]
+    for n in range(9, 13):
+        for _ in range(8):
+            cases.append(random_graph(rng, n, rng.uniform(0.2, 0.8)))
+            k = n // 2  # two copies of one random graph, so automorphisms exist
+            edges = random_graph(rng, k, rng.uniform(0.2, 0.8)).edges()
+            cases.append(relabeled(rng, n, edges + [(u + k, v + k) for u, v in edges]))
+    found = 0
+    for g in cases:
+        _, _, auts = enumeration._canon_search(g.n, g.adj)
+        for sigma in auts:
+            assert is_automorphism(g, sigma), (write_graph6(g), sigma)
+        found += len(auts)
+    assert found > 1000
+
+
 def test_canonical_form_order_guard():
     with pytest.raises(ValueError):
         canonical_form(complete(17))
@@ -158,14 +189,25 @@ def random_ordered_partition(rng, n):
     return [sorted(vertices[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
 
 
+def masks(cells):
+    return [sum(1 << v for v in cell) for cell in cells]
+
+
+def vertex_lists(cells):
+    # each cell mask as its increasing vertex list, the oracle's cell form
+    return [[v for v in range(cell.bit_length()) if cell >> v & 1] for cell in cells]
+
+
 def test_refine_matches_reference_on_random_partitions():
+    # n up to 16, so cells pass the 256-entry table of ``_bit_vertices``
     rng = random.Random(23)
     for _ in range(400):
-        n = rng.randint(1, 14)
+        n = rng.randint(1, 16)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         cells = random_ordered_partition(rng, n)
         expected = reference_refine(g.adj, cells)
-        assert enumeration._refine(g.adj, cells, range(len(cells))) == expected
+        got = enumeration._refine(g.adj, masks(cells), range(len(cells)))
+        assert vertex_lists(got) == expected
 
 
 def test_refine_from_individualized_cells_matches_reference():
@@ -174,13 +216,13 @@ def test_refine_from_individualized_cells_matches_reference():
     # canonical search does, from the first non-singleton cell
     def walk(adj, cells):
         steps = 0
-        splits = [idx for idx, cell in enumerate(cells) if len(cell) > 1]
+        splits = [idx for idx, cell in enumerate(cells) if cell & (cell - 1)]
         for idx in splits:
             cell = cells[idx]
-            for v in cell:
-                split = cells[:idx] + [[v], [u for u in cell if u != v]] + cells[idx + 1:]
+            for v in vertex_lists([cell])[0]:
+                split = cells[:idx] + [1 << v, cell ^ (1 << v)] + cells[idx + 1:]
                 got = enumeration._refine(adj, split, (idx, idx + 1))
-                assert got == reference_refine(adj, split)
+                assert vertex_lists(got) == reference_refine(adj, vertex_lists(split))
                 steps += 1
                 if idx == splits[0]:
                     steps += walk(adj, got)
@@ -189,8 +231,8 @@ def test_refine_from_individualized_cells_matches_reference():
     steps = 0
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            root = enumeration._refine(g.adj, [list(range(n))], (0,))
-            assert root == reference_refine(g.adj, [list(range(n))])
+            root = enumeration._refine(g.adj, [(1 << n) - 1], (0,))
+            assert vertex_lists(root) == reference_refine(g.adj, [list(range(n))])
             steps += walk(g.adj, root)
     assert steps > 1000
 
@@ -257,6 +299,63 @@ def test_enumeration_connected_subset():
     alln = {write_graph6(g) for g in enumerate_graphs(5)}
     assert conn < alln
     assert all(is_connected(parse_graph6(w)) for w in conn)
+
+
+def every_tie_accepted(nc, adjc, parent_cols):
+    # the acceptance rule with one deletion search per tied vertex and no
+    # orbit pruning
+    degs = [a.bit_count() for a in adjc]
+    vnew = nc - 1
+    inv_new = sorted(degs[u] for u in range(nc) if adjc[vnew] >> u & 1)
+    for v in range(vnew):
+        if degs[v] > degs[vnew]:
+            continue
+        inv_v = sorted(degs[u] for u in range(nc) if adjc[v] >> u & 1)
+        if inv_v < inv_new:
+            return False
+        if inv_v == inv_new:
+            dcols, _, _ = enumeration._canon_search(nc - 1, enumeration._delete_vertex(adjc, v))
+            if dcols < parent_cols:
+                return False
+    return True
+
+
+def test_accepted_decides_as_every_tie_search(monkeypatch):
+    # every (parent, attachment set) that generation tries up to order 7
+    tried = []
+    accepted = enumeration._accepted
+
+    def recording(nc, adjc, parent_cols):
+        search = accepted(nc, adjc, parent_cols)
+        tried.append((nc, adjc, parent_cols, search))
+        return search
+
+    monkeypatch.setattr(enumeration, "_accepted", recording)
+    assert sum(1 for _ in enumerate_graphs(7)) == ALL_COUNTS[7]
+    monkeypatch.undo()
+    for nc, adjc, parent_cols, search in tried:
+        assert (search is not None) == every_tie_accepted(nc, adjc, parent_cols)
+        if search is not None:  # the child's own search, reused by _children
+            assert search == enumeration._canon_search(nc, adjc)
+    assert len(tried) > 1500 and sum(search is None for *_, search in tried) > 300
+
+
+def test_canon_search_count_at_order_8(monkeypatch):
+    # one search per child that passes the invariant, plus one deletion search
+    # per orbit of tied vertices outside the new vertex's orbit (19205 with a
+    # deletion search for every tied vertex and a second search of each
+    # accepted child)
+    calls = 0
+    search = enumeration._canon_search
+
+    def counting(n, adj):
+        nonlocal calls
+        calls += 1
+        return search(n, adj)
+
+    monkeypatch.setattr(enumeration, "_canon_search", counting)
+    assert sum(1 for _ in enumerate_graphs(8)) == 12346
+    assert calls == 15880
 
 
 # --- census ------------------------------------------------------------------

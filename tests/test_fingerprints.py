@@ -3,11 +3,11 @@
 Each value is the first 16 hex digits of a sha256 recorded on the code
 before the fold or generation step it guards was rewritten: the enumeration
 streams (graph6 word plus newline per class) and the stdout of every
-census-backed CLI command at n = 7 and n = 8, the tree stream for
-n = 1..16, the canonical bytes of trees and relabeled graphs, and the stdout
-of tree-extremes at n = 12. A change to the enumeration order, to the
-canonical search, to a fold, or to the float arithmetic behind them moves a
-digest.
+census-backed CLI command at n = 7 and n = 8, the tree stream for n = 1..16,
+the canonical bytes of trees and relabeled graphs (up to n = 16 for random
+non-forests), and the stdout of tree-extremes at n = 12 and 15. A change to
+the enumeration order, to the canonical search, to a fold, or to the float
+arithmetic behind them moves a digest.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 
 from graphentropy.cli import main
 from graphentropy.enumeration import canonical_form, enumerate_graphs, enumerate_trees
-from graphentropy.graphs import from_edges, is_connected, write_graph6
+from graphentropy.graphs import component_count, from_edges, is_connected, write_graph6
 
 
 def digest(text):
@@ -57,6 +57,34 @@ def test_canonical_bytes_fingerprint():
         h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         stream.update(canonical_form(h).encode() + b"\n")
     assert stream.hexdigest()[:16] == "5857c05b52e4c836"
+
+
+def test_canonical_words_fingerprint_above_order_8():
+    # canonical words of seeded random non-forest graphs on 9..16 vertices,
+    # each relabeled: vertex masks reach past 256, and every other graph is
+    # two copies of one random graph (plus an isolated vertex at odd n), so
+    # the full search also meets automorphisms there
+    rng = random.Random(13)
+    stream = hashlib.sha256()
+    words = 0
+    for n in range(9, 17):
+        for i in range(24):
+            p = rng.uniform(0.1, 0.9)
+            if i % 2:
+                k = n // 2
+                edges = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p]
+                edges += [(u + k, v + k) for u, v in edges]
+            else:
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            if g.m + component_count(g) == g.n:
+                continue
+            stream.update(canonical_form(g).encode() + b"\n")
+            words += 1
+    assert words > 150
+    assert stream.hexdigest()[:16] == "5b2caba2e72a4361"
 
 
 def test_tree_stream_fingerprint():
