@@ -13,19 +13,21 @@ agree, in this and every finer partition, and skipping those no-op splitters
 changes neither the splits that act nor their order. Every leaf of that
 search tree is a vertex ordering; the canonical ordering is the leaf whose
 upper-triangle adjacency bits (in graph6 column order) are lexicographically
-smallest, the graph relabeled by it is the canonical representative, and its
-graph6 encoding, written straight from those bits by
-``graphs._graph6_bytes`` (the package's one graph6 encoder), is the
-canonical graph6 word that ``canonical_form`` returns as a str. Isomorphic
-graphs have search trees that agree up to relabeling, so they get the same
-word. The minimum is taken over the leaves only, not over all n! orderings,
-so the word is in general not the smallest graph6 word of the class. Two
-leaves with the same encoding differ by an automorphism; discovered
-automorphisms prune sibling branches through their orbits, which keeps
-highly symmetric graphs (complete, complete bipartite) from exploding. A
-forest follows its first branch only (see ``_forest_ordering``); for other
-graphs the search is exact but exponential in the worst case. Both serve the
-orders this package works at (n <= 16).
+smallest, the graph relabeled by it (``_relabel``) is the canonical
+representative, and its graph6 encoding, read off the relabeled rows by
+``graphs._graph6_body`` and packed by ``graphs._graph6_bytes`` (the one
+encoder ``write_graph6`` also uses), is the canonical graph6 word that
+``canonical_form`` returns as a str. Isomorphic graphs have search trees
+that agree up to relabeling, so they get the same word. The minimum is taken
+over the leaves only, not over all n! orderings, so the word is in general
+not the smallest graph6 word of the class. Two leaves with the same encoding
+differ by an automorphism; discovered automorphisms prune sibling branches
+through their orbits (an automorphism fixes a prefix when the prefix's mask
+lies inside its fixed-point mask), which keeps highly symmetric graphs
+(complete, complete bipartite) from exploding. A forest follows its first
+branch only (see ``_forest_ordering``); for other graphs the search is exact
+but exponential in the worst case. Both serve the orders this package works
+at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -36,15 +38,17 @@ every class exactly once, with no global seen-set. A child is the parent
 plus a new vertex joined to an attachment set; sets in one orbit under the
 parent's automorphisms give the same child, so only one set per orbit is
 tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998). A child that passes the degree invariant is searched once; the
-automorphisms found there also decide which of its tied vertices still need
-a deletion search (one per orbit, none in the new vertex's orbit; see
-``_accepted``), and the same search relabels an accepted child. The
-automorphisms are those the canonical search found, carried down the DFS in
-the canonical labeling; they may generate a proper subgroup, so the few
-duplicate children left within one parent are dropped by canonical form. In
-one process, memory stays linear in the recursion depth; under the optional
-process-pool sharding, each shard returns its graphs as one list
+1998). The degree rule comes first: two mask tests keep the sets that leave
+the new vertex of minimum degree, and orbits are closed over those sets only
+(see ``_attachment_sets``). A child that passes the degree invariant is
+searched once; the automorphisms found there also decide which of its tied
+vertices still need a deletion search (one per orbit, none in the new
+vertex's orbit; see ``_accepted``), and the same search relabels an accepted
+child. The automorphisms are those the canonical search found, carried down
+the DFS in the canonical labeling; they may generate a proper subgroup, so
+the few duplicate children left within one parent are dropped by canonical
+form. In one process, memory stays linear in the recursion depth; under the
+optional process-pool sharding, each shard returns its graphs as one list
 (``_shard_work``), so memory grows with the largest shard. The emission
 order (children sorted by edge count then canonical adjacency rows, within
 their parent) is deterministic, with or without sharding.
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +75,7 @@ from .graphs import (
     Graph6Error,
     _bit_vertices,
     _check_order,
+    _graph6_body,
     _graph6_bytes,
     component_count,
     is_connected,
@@ -105,7 +110,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
     is dropped whole (once every cell is a singleton, so is the rest of the
     queue), and a pass counts only the cells that meet both; the rest keep
     their places and make no sub-cells, so the cells split, the sub-cells
-    queued and their order are those of visiting every cell.
+    queued and their order are those of visiting every cell. A splitter of
+    one vertex v counts 1 exactly on ``adj[v]`` and 0 elsewhere, so it
+    splits an open cell with one AND into the part outside ``adj[v]``, then
+    the part inside, with no count taken.
     """
     queue = [cells[i] for i in fresh]
     open_ = 0
@@ -114,13 +122,31 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
             open_ |= cell
     while queue and open_:
         splitter = queue.pop()
+        new_cells: list[int] = []
+        if not splitter & (splitter - 1):  # one vertex: counts are 0 or 1
+            live = adj[splitter.bit_length() - 1] & open_
+            if not live:
+                continue
+            for cell in cells:
+                inside = cell & live
+                if not inside or inside == cell:
+                    new_cells.append(cell)
+                    continue
+                outside = cell ^ inside
+                new_cells += (outside, inside)
+                queue += (outside, inside)
+                if not outside & (outside - 1):
+                    open_ ^= outside
+                if not inside & (inside - 1):
+                    open_ ^= inside
+            cells = new_cells
+            continue
         hit = 0
         for v in _bit_vertices(splitter):
             hit |= adj[v]
         live = hit & open_
         if not live:
             continue
-        new_cells: list[int] = []
         for cell in cells:
             if not cell & live:
                 new_cells.append(cell)
@@ -163,6 +189,7 @@ def _canon_search(
     best_cols = [_INF] * n
     best_perm: list[int] | None = None
     auts: Auts = []
+    fixed: list[int] = []  # fixed[i]: the vertices auts[i] maps to themselves
     prefix: list[int] = []
 
     def search(cells: list[int]) -> None:
@@ -200,13 +227,16 @@ def _canon_search(
                         sigma[best_perm[pos]] = prefix[pos]
                     if len(auts) < _AUT_CAP:
                         auts.append(tuple(sigma))
+                        fixed.append(sum(1 << v for v in range(n) if sigma[v] == v))
             else:
                 cell = cells[idx]
                 rest = cells[idx + 1:]
                 head = cells[:idx]
+                prefix_mask = sum(head)  # the prefix's singleton cells
                 done: set[int] = set()
-                # automorphisms that fix the current prefix pointwise; auts
-                # only grows, so only the ones found since are tested
+                # automorphisms that fix the current prefix pointwise (its
+                # mask lies inside their fixed points); auts only grows, so
+                # only the ones found since are tested
                 stable: Auts = []
                 tested = 0
                 for v in _bit_vertices(cell):
@@ -215,7 +245,9 @@ def _canon_search(
                     # only {v} and its remainder can split a cell: the rest
                     # are cells of the equitable partition ``cells``
                     search(_refine(adj, head + [1 << v, cell ^ (1 << v)] + rest, (idx, idx + 1)))
-                    stable += [s for s in auts[tested:] if all(s[p] == p for p in prefix)]
+                    stable += [
+                        auts[i] for i in range(tested, len(auts)) if not prefix_mask & ~fixed[i]
+                    ]
                     tested = len(auts)
                     # the tried candidates' orbits under ``stable`` are done
                     done = _orbits(done | {v}, stable)
@@ -226,38 +258,34 @@ def _canon_search(
     return tuple(best_cols), tuple(best_perm), auts
 
 
-def _relabel(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+def _relabel(n: int, adj: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]:
     """Adjacency of the graph relabeled so position i takes vertex perm[i]."""
-    pos = [0] * n
+    bit = [0] * n  # bit[v]: vertex v's bit in the new labeling
     for i, v in enumerate(perm):
-        pos[v] = i
-    out = [0] * n
-    for v in range(n):
-        row = adj[v]
+        bit[v] = 1 << i
+    out = []
+    for v in perm:
         acc = 0
-        while row:
-            low = row & -row
-            acc |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        out[pos[v]] = acc
+        for u in _bit_vertices(adj[v]):
+            acc |= bit[u]
+        out.append(acc)
     return tuple(out)
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 word of g: the smallest leaf encoding, for a forest its
-    first leaf. Equal words iff isomorphic graphs."""
+    first leaf. Equal words iff isomorphic graphs.
+
+    The word is ``write_graph6``'s packing of g relabeled by the leaf's
+    ordering: the relabeled rows give the body through the same helper.
+    """
     if g.n > CANON_MAX:
         raise ValueError(f"canonical forms are supported for n <= {CANON_MAX}")
     if g.m + component_count(g) == g.n:
         order = _forest_ordering(g.n, g.adj)
     else:
         _, order, _ = _canon_search(g.n, g.adj)
-    body = 0
-    for j, v in enumerate(order):  # columns 1..n-1 concatenated: the graph6 body
-        row = g.adj[v]
-        for u in order[:j]:
-            body = (body << 1) | ((row >> u) & 1)
-    return _graph6_bytes(g.n, body).decode("ascii")
+    return _graph6_bytes(g.n, _graph6_body(g.n, _relabel(g.n, g.adj, order))).decode("ascii")
 
 
 def _forest_ordering(n: int, adj: tuple[int, ...]) -> list[int]:
@@ -356,34 +384,48 @@ def _orbits(vertices: set[int], auts: Auts) -> set[int]:
     return closed
 
 
-def _orbit_representatives(k: int, auts: Auts) -> Iterable[int]:
-    """One vertex subset of 0..k-1 (as a bitmask) per orbit under ``auts``.
+def _attachment_sets(degs: list[int], auts: Auts) -> list[int]:
+    """The attachment sets ``_children`` tries, as bitmasks of 0..k-1 where
+    k = len(degs), in increasing order.
 
-    Each representative is the smallest member of its orbit under the group
-    the permutations generate.
+    The new vertex joined to x has degree |x|, and it must end up with
+    minimum degree, else it cannot be a canonical deletion point under the
+    degree-first invariant. A vertex gains at most one degree, so x is
+    admissible exactly when no vertex has degree below |x| - 1, that is
+    |x| <= delta + 1 for the parent's minimum degree delta, and x holds
+    every vertex of degree |x| - 1, which exist only when |x| = delta + 1:
+    two tests on the mask, with no loop over vertices. Sets in one orbit
+    under ``auts`` (automorphisms, so they keep degrees) are all admissible
+    or none, and give isomorphic children; so only the first admissible
+    member of each orbit, its smallest, is kept, and the orbit is closed
+    over admissible sets only, each image made by mapping its few vertices.
     """
+    delta = min(degs)
+    lowest = sum(1 << v for v, d in enumerate(degs) if d == delta)
+    sets = [
+        x
+        for x in range(1 << len(degs))
+        if (size := x.bit_count()) <= delta or (size == delta + 1 and not lowest & ~x)
+    ]
     if not auts:
-        return range(1 << k)
-    images = []  # images[g][x]: bitmask x mapped by generator g
-    for sigma in auts:
-        img = [0] * (1 << k)
-        for x in range(1, 1 << k):
-            low = x & -x
-            img[x] = img[x ^ low] | (1 << sigma[low.bit_length() - 1])
-        images.append(img)
+        return sets
+    images = [[1 << w for w in sigma] for sigma in auts]  # vertex -> its image's bit
     reps = []
-    done = bytearray(1 << k)
-    for x in range(1 << k):
-        if done[x]:
+    done: set[int] = set()
+    for x in sets:
+        if x in done:
             continue
         reps.append(x)
-        done[x] = 1
+        done.add(x)
         orbit = [x]
         for y in orbit:
-            for img in images:
-                z = img[y]
-                if not done[z]:
-                    done[z] = 1
+            vertices = _bit_vertices(y)
+            for image in images:
+                z = 0
+                for v in vertices:
+                    z |= image[v]
+                if z not in done:
+                    done.add(z)
                     orbit.append(z)
     return reps
 
@@ -397,26 +439,16 @@ def _children(
     canonically relabeled children on k+1 vertices, sorted by (m, adjacency).
     ``auts`` are automorphisms of ``adj``; attachment sets in one orbit under
     them give isomorphic children with the new vertex fixed (all accepted or
-    all rejected, with one canonical form), so only one set per orbit is tried.
-    An accepted child's columns, ordering and automorphisms are the search
-    ``_accepted`` ran on it.
+    all rejected, with one canonical form), so only one set per orbit is
+    tried, and only sets that leave the new vertex of minimum degree
+    (``_attachment_sets``). An accepted child's columns, ordering and
+    automorphisms are the search ``_accepted`` ran on it.
     """
     nc = k + 1
-    degs = [a.bit_count() for a in adj]
     # found automorphisms may generate a proper subgroup, and distinct orbits
     # can still give isomorphic children, so duplicates remain possible
     seen: dict[tuple[int, ...], tuple[int, tuple[int, ...], Auts]] = {}
-    for x in _orbit_representatives(k, auts):
-        dn = x.bit_count()
-        # the new vertex must end up with minimum degree, else it cannot be
-        # a canonical deletion point under the degree-first invariant
-        ok = True
-        for v in range(k):
-            if degs[v] + ((x >> v) & 1) < dn:
-                ok = False
-                break
-        if not ok:
-            continue
+    for x in _attachment_sets([a.bit_count() for a in adj], auts):
         child = tuple(adj[v] | (((x >> v) & 1) << k) for v in range(k)) + (x,)
         search = _accepted(nc, child, cols)
         if search is None:
@@ -428,7 +460,7 @@ def _children(
                 pos[v] = i
             # the automorphisms again, in the canonical labeling
             relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
-            seen[ccols] = (dn, _relabel(nc, child, perm), relabeled)
+            seen[ccols] = (x.bit_count(), _relabel(nc, child, perm), relabeled)
     # the new vertex's degree is m less the parent's; distinct columns mean
     # distinct adjacencies, so the sort never compares beyond (m, adjacency)
     return sorted((d, a, c, au) for c, (d, a, au) in seen.items())

@@ -11,15 +11,16 @@ triangle x(0,1), x(0,2), x(1,2), ... packed big-endian into 6-bit chunks,
 each offset by 63), the standard families used throughout (stars, paths,
 complete and complete bipartite graphs), and basic structural invariants.
 ``_graph6_bytes`` is the one graph6 encoder: it packs a triangle given as
-one integer, and serves both ``write_graph6`` and
-``enumeration.canonical_form``.
+one integer, which ``_graph6_body`` reads off adjacency rows, and the two
+serve both ``write_graph6`` and ``enumeration.canonical_form``.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,19 +33,29 @@ class Graph6Error(ValueError):
     """Malformed graph6 input; the message names the offending byte offset."""
 
 
-_BYTE_VERTICES = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+_BYTE_VERTICES = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
+# _BYTE_TABLES[k][b]: the set bits of byte value b at byte offset k, as vertices
+_BYTE_TABLES = (_BYTE_VERTICES,) + tuple(
+    tuple(tuple([8 * k + v for v in t]) for t in _BYTE_VERTICES) for k in range(1, 8)
+)
+_SECOND_BYTE = _BYTE_TABLES[1]
 
 
-def _bit_vertices(mask: int) -> Sequence[int]:
-    """Set bit positions of ``mask`` (nonnegative), increasing: a shared tuple
-    from ``_BYTE_VERTICES`` when ``mask < 256`` (n <= 8), else a new list."""
+def _bit_vertices(mask: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask`` (0 <= mask < 2**64), increasing.
+
+    Each byte of the mask is looked up in the table of its byte offset and
+    the entries are concatenated; no loop runs over bits. A mask below 256
+    (n <= 8) returns the shared entry itself, one below 2**16 (n <= 16) joins
+    two entries.
+    """
     if mask < 256:
         return _BYTE_VERTICES[mask]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    if mask < 65536:
+        return _BYTE_VERTICES[mask & 255] + _SECOND_BYTE[mask >> 8]
+    out: tuple[int, ...] = ()
+    for table, byte in zip(_BYTE_TABLES, mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        out += table[byte]
     return out
 
 
@@ -315,6 +326,11 @@ def matching_number(g: Graph) -> int:
 
 # --- graph6 codec ---------------------------------------------------------
 
+# base64 digit value v (A-Z, a-z, 0-9, +, /) -> graph6 byte 63 + v
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
 
 def _graph6_bytes(n: int, body: int) -> bytes:
     """graph6 bytes of the order-n graph whose upper triangle is ``body``.
@@ -322,25 +338,33 @@ def _graph6_bytes(n: int, body: int) -> bytes:
     ``body`` holds the n(n-1)/2 triangle bits in graph6 order, x(0,1) most
     significant. It is padded with zeros to a multiple of 6 bits, and each
     6-bit group becomes one byte plus 63, after the 1-byte size (n <= 62) or
-    the 4-byte size form ('~' and 18 bits, 63 <= n <= 258047).
+    the 4-byte size form ('~' and 18 bits, 63 <= n <= 258047). The groups
+    are the base64 digits of the body padded to whole 24-bit words, so one
+    ``b2a_base64`` call splits them and one table translates the digits.
     """
     nbits = n * (n - 1) // 2
     nbytes = -(-nbits // 6)
-    body <<= 6 * nbytes - nbits
+    words = -(-nbytes // 4)  # base64 writes 4 digits per 3 bytes
+    body <<= 24 * words - nbits
+    digits = binascii.b2a_base64(body.to_bytes(3 * words, "big"), newline=False)
     size = [63 + n] if n <= 62 else [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    return bytes(size + [63 + ((body >> (6 * i)) & 63) for i in range(nbytes - 1, -1, -1)])
+    return bytes(size) + digits[:nbytes].translate(_BASE64_TO_GRAPH6)
+
+
+def _graph6_body(n: int, adj: tuple[int, ...]) -> int:
+    """The upper triangle of the order-n graph with rows ``adj``, as the
+    integer ``_graph6_bytes`` packs (x(0,1) most significant)."""
+    # adj[j] below bit j is column j of the triangle with x(0,j) lowest, so
+    # the columns stacked last-first hold the body with its bits reversed
+    flipped = 0
+    for j in range(n - 1, 0, -1):
+        flipped = (flipped << j) | (adj[j] & ((1 << j) - 1))
+    return int(f"{flipped:0{n * (n - 1) // 2}b}"[::-1], 2)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode g in graph6 (no header, no trailing newline)."""
-    # adj[j] below bit j is column j of the triangle with x(0,j) lowest, so
-    # the columns stacked last-first hold the body with its bits reversed
-    n = g.n
-    flipped = 0
-    for j in range(n - 1, 0, -1):
-        flipped = (flipped << j) | (g.adj[j] & ((1 << j) - 1))
-    body = int(f"{flipped:0{n * (n - 1) // 2}b}"[::-1], 2)
-    return _graph6_bytes(n, body).decode("ascii")
+    return _graph6_bytes(g.n, _graph6_body(g.n, g.adj)).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -4,7 +4,9 @@ Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, Laplacians by one bit test per
 entry, matchings by trying all edge subsets, equitable partitions by
 re-scanning every cell for every splitter, graph6 words by appending one
-triangle bit at a time, Renyi entropies in 60-digit decimal arithmetic.
+triangle bit at a time (in any vertex order), attachment sets by testing
+every subset and closing its orbit, Renyi entropies in 60-digit decimal
+arithmetic.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from typing import Sequence
 
 from graphentropy.graphs import Graph
 
@@ -140,9 +143,12 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
     return cells
 
 
-def reference_write_graph6(g: Graph) -> str:
-    """graph6 word of g, built one upper-triangle bit at a time in column
+def reference_write_graph6(g: Graph, order: Sequence[int] | None = None) -> str:
+    """graph6 word of g relabeled so position j holds vertex order[j] (the
+    identity by default), built one upper-triangle bit at a time in column
     order x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per byte."""
+    if order is None:
+        order = range(g.n)
     if g.n <= 62:
         out = [chr(63 + g.n)]
     else:
@@ -150,8 +156,9 @@ def reference_write_graph6(g: Graph) -> str:
     acc = 0
     nbits = 0
     for j in range(1, g.n):
+        row = g.adj[order[j]]
         for i in range(j):
-            acc = (acc << 1) | ((g.adj[j] >> i) & 1)
+            acc = (acc << 1) | ((row >> order[i]) & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(63 + acc))
@@ -160,6 +167,42 @@ def reference_write_graph6(g: Graph) -> str:
     if nbits:
         out.append(chr(63 + (acc << (6 - nbits))))
     return "".join(out)
+
+
+def reference_attachment_sets(degs: Sequence[int], perms: Sequence[Sequence[int]]) -> list[int]:
+    """The attachment sets canonical augmentation tries on a parent with
+    vertex degrees ``degs`` and automorphisms ``perms``, by brute force.
+
+    Every subset x of 0..k-1 (a bitmask) is visited in increasing order; its
+    orbit under the group the permutations generate is closed one image at a
+    time, and the orbit's smallest member is kept when a new vertex joined
+    to it has minimum degree, tested vertex by vertex: no degs[v] + [v in x]
+    below |x|. Returns the kept sets in increasing order.
+    """
+    k = len(degs)
+    seen: set[int] = set()
+    kept = []
+    for x in range(1 << k):
+        if x in seen:
+            continue
+        orbit = {x}
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for perm in perms:
+                z = 0
+                for v in range(k):
+                    if y >> v & 1:
+                        z |= 1 << perm[v]
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
+        seen |= orbit
+        smallest = min(orbit)
+        size = bin(smallest).count("1")
+        if all(degs[v] + (smallest >> v & 1) >= size for v in range(k)):
+            kept.append(smallest)
+    return kept
 
 
 def brute_matching(g: Graph) -> int:

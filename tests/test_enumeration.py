@@ -27,7 +27,13 @@ from graphentropy.graphs import (
     write_graph6,
 )
 
-from _oracles import edge_mask, labeled_classes, min_mask, reference_refine
+from _oracles import (
+    edge_mask,
+    labeled_classes,
+    min_mask,
+    reference_attachment_sets,
+    reference_refine,
+)
 
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -199,7 +205,7 @@ def vertex_lists(cells):
 
 
 def test_refine_matches_reference_on_random_partitions():
-    # n up to 16, so cells pass the 256-entry table of ``_bit_vertices``
+    # n up to 16, so cells reach past the first byte of ``_bit_vertices``
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(1, 16)
@@ -246,7 +252,8 @@ def columns(g):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
 def test_graph6_from_columns_matches_write_graph6(n):
-    # canonical_form packs its columns 1..n-1 concatenated as the body
+    # _canon_search's columns 1..n-1, concatenated, are the graph6 body, so
+    # comparing column tuples compares bodies
     rng = random.Random(24 + n)
     for g in [from_edges(n, []), complete(n)] + [random_graph(rng, n) for _ in range(20)]:
         body = 0
@@ -338,6 +345,69 @@ def test_accepted_decides_as_every_tie_search(monkeypatch):
         if search is not None:  # the child's own search, reused by _children
             assert search == enumeration._canon_search(nc, adjc)
     assert len(tried) > 1500 and sum(search is None for *_, search in tried) > 300
+
+
+def test_attachment_sets_match_reference_on_generation_parents(monkeypatch):
+    # every parent generation expands up to order 7, with the automorphisms
+    # its search found; the order-7 parents are recorded but not expanded
+    parents = []
+    children = enumeration._children
+
+    def recording(k, adj, cols, auts):
+        parents.append((adj, auts))
+        return children(k, adj, cols, auts) if k < 7 else []
+
+    monkeypatch.setattr(enumeration, "_children", recording)
+    assert sum(1 for _ in enumerate_graphs(8)) == 0
+    monkeypatch.undo()
+    assert len(parents) == sum(ALL_COUNTS[k] for k in range(1, 8))
+    assert sum(1 for _, auts in parents if auts) > 500
+    for adj, auts in parents:
+        degs = [row.bit_count() for row in adj]
+        assert enumeration._attachment_sets(degs, auts) == reference_attachment_sets(degs, auts)
+
+
+def random_group(rng, k):
+    # a few random permutations of 0..k-1: shuffles, transpositions and
+    # short cycles, so the groups range from trivial to transitive
+    perms = []
+    for _ in range(rng.randint(0, 3)):
+        perm = list(range(k))
+        kind = rng.randrange(3)
+        if kind == 0:
+            rng.shuffle(perm)
+        elif k > 1:
+            cycle_ = rng.sample(range(k), 2 if kind == 1 else rng.randint(2, k))
+            for a, b in zip(cycle_, cycle_[1:] + cycle_[:1]):
+                perm[a] = b
+        perms.append(tuple(perm))
+    return perms
+
+
+def test_attachment_sets_match_reference_on_random_groups():
+    # degrees constant on each vertex orbit of the group, as automorphisms
+    # keep them; every order up to 10
+    rng = random.Random(32)
+    cases = 0
+    for _ in range(250):
+        k = rng.randint(1, 10)
+        perms = random_group(rng, k)
+        orbit = list(range(k))  # orbit[v]: a representative of v's orbit
+        changed = True
+        while changed:
+            changed = False
+            for perm in perms:
+                for v in range(k):
+                    low = min(orbit[v], orbit[perm[v]])
+                    if orbit[v] != low or orbit[perm[v]] != low:
+                        orbit[v] = orbit[perm[v]] = low
+                        changed = True
+        degree = [rng.randrange(k) for _ in range(k)]
+        degs = [degree[orbit[v]] for v in range(k)]
+        got = enumeration._attachment_sets(degs, perms)
+        assert got == reference_attachment_sets(degs, perms)
+        cases += any(x.bit_count() == min(degs) + 1 for x in got)
+    assert cases > 100
 
 
 def test_canon_search_count_at_order_8(monkeypatch):

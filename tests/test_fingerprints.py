@@ -7,17 +7,23 @@ census-backed CLI command at n = 7 and n = 8, the tree stream for n = 1..16,
 the canonical bytes of trees and relabeled graphs (up to n = 16 for random
 non-forests), and the stdout of tree-extremes at n = 12 and 15. A change to
 the enumeration order, to the canonical search, to a fold, or to the float
-arithmetic behind them moves a digest.
+arithmetic behind them moves a digest. The n = 9 stream runs only when
+GEL_STRETCH is 9 or 10. Next to the canonical words, the oracle packs each
+ordering the search chose bit by bit, so a word must also be its ordering's.
 """
 
 import hashlib
+import os
 import random
 
 import pytest
 
+from graphentropy import enumeration
 from graphentropy.cli import main
 from graphentropy.enumeration import canonical_form, enumerate_graphs, enumerate_trees
 from graphentropy.graphs import component_count, from_edges, is_connected, write_graph6
+
+from _oracles import reference_write_graph6
 
 
 def digest(text):
@@ -43,6 +49,20 @@ def test_enumeration_stream_fingerprint_order_8():
     assert connected.hexdigest()[:16] == "00ef3b6950f5e39e"
 
 
+@pytest.mark.skipif(
+    os.environ.get("GEL_STRETCH") not in ("9", "10"),
+    reason="about a minute of generation; set GEL_STRETCH=9 or 10",
+)
+def test_enumeration_stream_fingerprint_order_9():
+    stream = hashlib.sha256()
+    classes = 0
+    for g in enumerate_graphs(9):
+        stream.update((write_graph6(g) + "\n").encode("ascii"))
+        classes += 1
+    assert classes == 274668
+    assert stream.hexdigest()[:16] == "4e21f6f8d60ae3b6"
+
+
 def test_canonical_bytes_fingerprint():
     # canonical bytes of every tree on 1..14 vertices, then of every class on
     # 7 vertices under one seeded relabeling
@@ -59,14 +79,12 @@ def test_canonical_bytes_fingerprint():
     assert stream.hexdigest()[:16] == "5857c05b52e4c836"
 
 
-def test_canonical_words_fingerprint_above_order_8():
-    # canonical words of seeded random non-forest graphs on 9..16 vertices,
-    # each relabeled: vertex masks reach past 256, and every other graph is
-    # two copies of one random graph (plus an isolated vertex at odd n), so
-    # the full search also meets automorphisms there
+def relabeled_non_forests():
+    # seeded random non-forest graphs on 9..16 vertices, each relabeled:
+    # vertex masks reach past 256, and every other graph is two copies of one
+    # random graph (plus an isolated vertex at odd n), so the full search also
+    # meets automorphisms there
     rng = random.Random(13)
-    stream = hashlib.sha256()
-    words = 0
     for n in range(9, 17):
         for i in range(24):
             p = rng.uniform(0.1, 0.9)
@@ -79,12 +97,44 @@ def test_canonical_words_fingerprint_above_order_8():
             perm = list(range(n))
             rng.shuffle(perm)
             g = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
-            if g.m + component_count(g) == g.n:
-                continue
-            stream.update(canonical_form(g).encode() + b"\n")
-            words += 1
+            if g.m + component_count(g) != g.n:
+                yield g
+
+
+def test_canonical_words_fingerprint_above_order_8():
+    stream = hashlib.sha256()
+    words = 0
+    for g in relabeled_non_forests():
+        stream.update(canonical_form(g).encode() + b"\n")
+        words += 1
     assert words > 150
     assert stream.hexdigest()[:16] == "5b2caba2e72a4361"
+
+
+def test_canonical_form_is_the_reference_packing_of_its_ordering(monkeypatch):
+    # the word is the graph relabeled by the ordering the search chose,
+    # packed one bit at a time by the oracle: every tree on up to 16 vertices
+    # (the forest path) and the non-forests above (the full search)
+    orders = []
+    forest, search = enumeration._forest_ordering, enumeration._canon_search
+
+    def forest_recording(n, adj):
+        orders.append(forest(n, adj))
+        return orders[-1]
+
+    def search_recording(n, adj):
+        found = search(n, adj)
+        orders.append(found[1])
+        return found
+
+    monkeypatch.setattr(enumeration, "_forest_ordering", forest_recording)
+    monkeypatch.setattr(enumeration, "_canon_search", search_recording)
+    graphs = [t for n in range(1, 17) for t in enumerate_trees(n)]
+    graphs += relabeled_non_forests()
+    for g in graphs:
+        word = canonical_form(g)
+        assert word == reference_write_graph6(g, orders[-1])
+    assert len(orders) == len(graphs) > 32000
 
 
 def test_tree_stream_fingerprint():

@@ -68,9 +68,14 @@ def test_construction_rejects_bad_shapes():
 
 
 def test_bit_vertices_matches_bit_tests():
+    # every mask below 2^10, both sides of each byte boundary below 2^64,
+    # every single bit, and random masks of every length up to 64 bits
     rng = random.Random(11)
-    for mask in [*range(1 << 10), *(rng.getrandbits(64) for _ in range(1000))]:
-        assert list(_bit_vertices(mask)) == [v for v in range(64) if mask >> v & 1]
+    boundaries = [m for k in range(1, 8) for m in ((1 << (8 * k)) - 1, 1 << (8 * k))]
+    randoms = [rng.getrandbits(rng.randint(1, 64)) for _ in range(2000)]
+    for mask in [*range(1 << 10), *boundaries, *(1 << v for v in range(64)), *randoms]:
+        assert _bit_vertices(mask) == tuple(v for v in range(64) if mask >> v & 1)
+    assert _bit_vertices((1 << 64) - 1) == tuple(range(64))
 
 
 def test_derived_counts_match_independent_sums():
