@@ -6,10 +6,18 @@ representation is what the exhaustive searches elsewhere in the package lean
 on: edge tests, degree counts, and frontier expansions are single bit
 operations. Graphs are frozen values; every operation returns a new graph.
 
+Checks run in one place each. ``Graph`` decides at construction that its
+rows form a simple graph, by one test on the rows packed as a bit matrix
+(equal to its transpose, nothing on the diagonal or past column n-1), and
+names the fault by a per-vertex walk only when that test fails.
+``laplacian`` trusts a built graph and checks nothing; the spectral code
+checks the matrix it solves.
+
 This module also provides the graph6 codec (size byte(s), then the upper
 triangle x(0,1), x(0,2), x(1,2), ... packed big-endian into 6-bit chunks,
 each offset by 63), the standard families used throughout (stars, paths,
-complete and complete bipartite graphs), and basic structural invariants.
+complete and complete bipartite graphs), the integer Laplacian, built from
+a 256-entry byte table, and basic structural invariants.
 ``_graph6_bytes`` is the one graph6 encoder: it packs a triangle given as
 one integer, which ``_graph6_body`` reads off adjacency rows, and the two
 serve both ``write_graph6`` and ``enumeration.canonical_form``.
@@ -18,9 +26,9 @@ serve both ``write_graph6`` and ``enumeration.canonical_form``.
 from __future__ import annotations
 
 import binascii
-import math
+import struct
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -59,13 +67,70 @@ def _bit_vertices(mask: int) -> tuple[int, ...]:
     return out
 
 
+def _repeat(pattern: int, period: int, times: int) -> int:
+    """``pattern`` placed ``times`` times, every ``period`` bits, by one product."""
+    return pattern * (((1 << period * times) - 1) // ((1 << period) - 1))
+
+
+def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(delta, mask) of the log2(w) delta swaps that transpose a w x w bit
+    matrix whose entry (r, c) is bit r*w + c (Hacker's Delight, 7-3).
+
+    The level-j swap exchanges the off-diagonal j x j blocks of every
+    2j x 2j block: bit (r, c) with r & j clear and c & j set trades places
+    with bit (r + j, c - j), j*(w - 1) positions higher.
+    """
+    swaps = []
+    j = w >> 1
+    while j:
+        cols = _repeat(((1 << j) - 1) << j, 2 * j, w // (2 * j))  # c & j set, one row
+        rows = _repeat(_repeat(cols, w, j), 2 * j * w, w // (2 * j))  # and r & j clear
+        swaps.append((j * (w - 1), rows))
+        j >>= 1
+    return tuple(swaps)
+
+
+def _bit_matrix(n: int) -> tuple:
+    """(row packer, diagonal and columns >= n, delta swaps) for order n."""
+    w = 8 if n <= 8 else 16 if n <= 16 else 32 if n <= 32 else 64
+    word = {8: "B", 16: "H", 32: "I", 64: "Q"}[w]  # unsigned, w bits
+    pack = struct.Struct(f"<{n}{word}").pack
+    outside = _repeat(1, w + 1, w) | _repeat((1 << w) - (1 << n), w, w)
+    return pack, outside, _TRANSPOSE_SWAPS[w]
+
+
+_TRANSPOSE_SWAPS = {w: _transpose_swaps(w) for w in (8, 16, 32, 64)}
+# _BIT_MATRIX[n]: what Graph's validity test needs at order n (index 0 unused)
+_BIT_MATRIX = (None,) + tuple(_bit_matrix(n) for n in range(1, MAX_VERTICES + 1))
+
+
+def _raise_adjacency_fault(n: int, adj: tuple[int, ...]) -> NoReturn:
+    """Name the first fault of rows that failed Graph's bit-matrix test: a
+    vertex out of range, then a loop, then a missing back edge, by vertex."""
+    full = (1 << n) - 1
+    for u, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"adjacency of vertex {u} references vertices >= n")
+        if (row >> u) & 1:
+            raise ValueError(f"loop at vertex {u}")
+        for v in _bit_vertices(row):
+            if not (adj[v] >> u) & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+    raise AssertionError("the bit-matrix test rejected rows the walk accepts")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph ``Graph(n, adj)``; its size ``m`` is derived.
 
     Invariants (checked at construction): 1 <= n <= 64, one bitmask in ``adj``
     per vertex with no bit at n or above, no loops, and adjacency is
-    symmetric; ``m`` is counted from ``adj`` by the same walk.
+    symmetric. One test decides all three for every constructor: the rows
+    are packed into a W x W bit matrix x (W = 8, 16, 32 or 64, the smallest
+    that holds n), which is valid iff x equals its transpose and misses the
+    diagonal and the columns >= n; ``m`` is half the bits of x. A row below 0
+    or of W bits or more does not pack and fails the test. Only after a
+    failure does a per-vertex walk run, to name the first faulty vertex.
     """
 
     n: int
@@ -73,21 +138,22 @@ class Graph:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        _check_order(n)
+        if len(adj) != n:
             raise ValueError("adjacency tuple length must equal the graph order")
-        full = (1 << self.n) - 1
-        total = 0
-        for u, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency of vertex {u} references vertices >= n")
-            if (row >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-            total += row.bit_count()
-            for v in _bit_vertices(row):
-                if not (self.adj[v] >> u) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "m", total // 2)  # a frozen field set once, here
+        pack, outside, swaps = _BIT_MATRIX[n]
+        try:
+            x = int.from_bytes(pack(*adj), "little")
+        except struct.error:  # a row below 0 or of W bits or more
+            _raise_adjacency_fault(n, adj)
+        t = x
+        for delta, mask in swaps:  # delta swaps transpose t in place
+            s = (t ^ (t >> delta)) & mask
+            t ^= s ^ (s << delta)
+        if x & outside or x != t:
+            _raise_adjacency_fault(n, adj)
+        object.__setattr__(self, "m", x.bit_count() >> 1)  # a frozen field set once, here
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -225,17 +291,27 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
     return Graph(n, tuple(adj))
 
 
+# _LAPLACIAN_ROWS[b]: the Laplacian entries of one byte b of a row, as the
+# bytes of 8 int64s: -1 at the set bits of b, 0 elsewhere
+_LAPLACIAN_ROWS = tuple(map(bytes, -((np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1)))
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A as an int64 matrix, built as Python
-    rows and converted by one ``np.array`` call, not stored entry by entry."""
-    rows = []
-    for u, row in enumerate(g.adj):
-        r = [0] * g.n
-        for v in _bit_vertices(row):
-            r[v] = -1
-        r[u] = row.bit_count()
-        rows.append(r)
-    return np.array(rows, dtype=np.int64)
+    """Combinatorial Laplacian L = D - A as a C-contiguous int64 (n, n) matrix.
+
+    The rows are packed W bits each, as ``Graph`` packs them, and each byte
+    is looked up in ``_LAPLACIAN_ROWS``; the joined entries are read as one
+    (n, W) array, one strided store writes the degrees to its diagonal, and
+    the array is cut to n columns when W > n. No check runs here:
+    ``density_spectrum`` checks the matrix it solves.
+    """
+    n, adj = g.n, g.adj
+    pack = _BIT_MATRIX[n][0]
+    lap = np.frombuffer(bytearray().join([_LAPLACIAN_ROWS[b] for b in pack(*adj)]), np.int64)
+    w = len(lap) // n
+    lap[:: w + 1] = [row.bit_count() for row in adj]  # the diagonal of the (n, w) matrix
+    lap = lap.reshape(n, w)
+    return lap if w == n else np.ascontiguousarray(lap[:, :n])
 
 
 def is_connected(g: Graph) -> bool:

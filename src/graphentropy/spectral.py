@@ -7,6 +7,16 @@ kernel of L). Floating point only approximates that, so this module owns the
 tolerance policy: eigenvalues within ``DEFAULT_TOL`` of 0 are snapped to
 exactly 0, and anything below ``-DEFAULT_TOL`` is treated as a hard error
 rather than noise.
+
+Where each check runs: ``eigenvalues_symmetric`` checks an arbitrary float
+matrix (square, finite Frobenius norm, symmetric within ``DEFAULT_TOL``
+times the norm, eigenvalue sum equal to the trace). ``density_spectrum``
+does not call it; it solves the int64 Laplacian itself and runs the same
+checks in the exact form they take on an integer matrix (the norm from the
+integer degrees, symmetry as exact equality with the transpose), then the
+tolerance cleaning. ``density_spectra`` runs the trace check and the
+cleaning once per stacked block and tests no symmetry: its callers stack
+the rows of census blocks and of built ``Graph`` trees.
 """
 
 from __future__ import annotations
@@ -48,21 +58,35 @@ def density_spectrum(g: Graph) -> tuple[float, ...]:
     """Eigenvalues of rho(G) = L(G)/d_G, descending, cleaned to an exact
     distribution shape with ``DEFAULT_TOL``.
 
-    Raises for edgeless graphs (d_G = 0), for eigenvalues below
-    ``-DEFAULT_TOL`` (L is positive semidefinite, so that would be a solver
-    bug), and if the cleaned values fail to sum to 1 within n*DEFAULT_TOL or
-    lost the kernel zero.
+    One ``eigvalsh`` call solves the int64 Laplacian. The checks of
+    ``eigenvalues_symmetric`` run here in the exact form they take on that
+    matrix: its Frobenius norm is sqrt(sum d_i^2 + d_G) from the integer
+    degrees (bit for bit the float norm) and must be finite, the matrix must
+    equal its transpose exactly, and the eigenvalues must sum to the trace
+    d_G within n*DEFAULT_TOL times the norm. Raises for edgeless graphs
+    (d_G = 0), for eigenvalues below ``-DEFAULT_TOL`` (L is positive
+    semidefinite, so that would be a solver bug), and if the cleaned values
+    fail to sum to 1 within n*DEFAULT_TOL or lost the kernel zero.
     """
     if g.m == 0:
         raise ValueError("density matrix undefined: graph has no edges")
-    d = 2 * g.m
+    n, d = g.n, 2 * g.m
+    scale = math.sqrt(sum([row.bit_count() ** 2 for row in g.adj]) + d)
+    if scale == math.inf:
+        raise ValueError("matrix has an infinite Frobenius norm")
+    lap = laplacian(g)
+    if lap.tobytes() != lap.T.tobytes():
+        raise ValueError("Laplacian is not symmetric")
+    w = np.linalg.eigvalsh(lap).tolist()  # ascending; raises LinAlgError on failure
+    if abs(math.fsum(w) - d) > n * DEFAULT_TOL * scale:
+        raise ArithmeticError("eigenvalue sum drifted from the trace")
     vals = []
-    for x in eigenvalues_symmetric(laplacian(g)):
+    for x in reversed(w):
         y = x / d
         if y < -DEFAULT_TOL:
             raise ArithmeticError(f"negative eigenvalue {y} from a positive semidefinite matrix")
         vals.append(0.0 if abs(y) <= DEFAULT_TOL else y)
-    if abs(math.fsum(vals) - 1.0) > g.n * DEFAULT_TOL:
+    if abs(math.fsum(vals) - 1.0) > n * DEFAULT_TOL:
         raise ArithmeticError("cleaned spectrum does not sum to 1")
     if vals[-1] != 0.0:
         raise ArithmeticError("kernel eigenvalue did not clean to exactly 0")

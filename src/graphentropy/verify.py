@@ -159,8 +159,9 @@ def _spectra(n: int, workers: int, edged: bool = False) -> Iterator[tuple[list[f
 
 
 def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
-    """Degree sequences of stacked adjacency rows, one per row, in Python ints."""
-    return (DegreeSequence(tuple(degs)) for degs in np.bitwise_count(rows).tolist())
+    """Degree sequences of stacked adjacency rows, one per row, in Python ints;
+    each row's degrees become a list only when that row is reached."""
+    return (DegreeSequence(tuple(degs.tolist())) for degs in np.bitwise_count(rows))
 
 
 def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:

@@ -2,11 +2,11 @@
 
 Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, Laplacians by one bit test per
-entry, matchings by trying all edge subsets, equitable partitions by
-re-scanning every cell for every splitter, graph6 words by appending one
-triangle bit at a time (in any vertex order), attachment sets by testing
-every subset and closing its orbit, Renyi entropies in 60-digit decimal
-arithmetic.
+entry, graph validity by a walk over every vertex pair, matchings by trying
+all edge subsets, equitable partitions by re-scanning every cell for every
+splitter, graph6 words by appending one triangle bit at a time (in any
+vertex order), attachment sets by testing every subset and closing its
+orbit, Renyi entropies in 60-digit decimal arithmetic.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -263,6 +263,21 @@ def reference_laplacian(g: Graph) -> list[list[int]]:
                 lap[u][v] = -1
                 lap[u][u] += 1
     return lap
+
+
+def reference_graph_check(n: int, adj: Sequence[int]) -> str | None:
+    """The first fault of adjacency rows by a walk over every vertex pair, as
+    ``Graph`` names it (vertex by vertex: a neighbor >= n, then a loop, then
+    a missing back edge), or None if the rows form a simple graph."""
+    for u, row in enumerate(adj):
+        if row < 0 or row >> n:
+            return f"adjacency of vertex {u} references vertices >= n"
+        if (row >> u) & 1:
+            return f"loop at vertex {u}"
+        for v in range(n):
+            if (row >> v) & 1 and not (adj[v] >> u) & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
 
 
 def reference_renyi(p: list[float], alpha: float) -> float:

@@ -34,6 +34,7 @@ from _oracles import (
     brute_matching,
     edge_mask,
     min_mask,
+    reference_graph_check,
     reference_laplacian,
     reference_write_graph6,
 )
@@ -65,6 +66,51 @@ def test_construction_rejects_bad_shapes():
     for v in (8, 63):  # past the first byte of a row: vertex 0 lists v, v not 0
         with pytest.raises(ValueError, match="asymmetric"):
             Graph(v + 1, (1 << v,) + (0,) * v)
+
+
+def _faults(rng, n, adj):
+    """One copy of ``adj`` per kind of fault, each at a random vertex: a
+    missing back bit, a loop, a bit at column n, a bit at the top column of
+    the packed width W, a negative row, and a row of W bits or more."""
+    w = max(8, 1 << (n - 1).bit_length())
+    u = rng.randrange(n)
+    out = []
+    edges = [(a, b) for a in range(n) for b in range(n) if adj[a] >> b & 1]
+    if edges:
+        a, b = rng.choice(edges)
+        out.append({b: adj[b] & ~(1 << a)})
+    out.append({u: adj[u] | 1 << u})
+    out.append({u: adj[u] | 1 << n})
+    out.append({u: adj[u] | 1 << (w - 1)})
+    out.append({u: -1 - adj[u]})
+    out.append({u: adj[u] | 1 << (w + rng.randrange(8))})
+    return [[change.get(v, row) for v, row in enumerate(adj)] for change in out]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+def test_validity_matches_reference_walk(n):
+    rng = random.Random(n)
+    for trial in range(12):
+        p = trial / 11  # from edgeless to complete
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        assert reference_graph_check(n, adj) is None
+        assert Graph(n, tuple(adj)).m == sum(row.bit_count() for row in adj) // 2
+        faulty = _faults(rng, n, adj)
+        # two faults at once: the walk's first one is named
+        faulty.append([a if rng.random() < 0.5 else b for a, b in zip(*rng.sample(faulty, 2))])
+        for rows in faulty:
+            want = reference_graph_check(n, rows)
+            if want is None:  # the top column is a vertex at n = W and may be mirrored
+                assert Graph(n, tuple(rows)).m == sum(row.bit_count() for row in rows) // 2
+                continue
+            with pytest.raises(ValueError) as info:
+                Graph(n, tuple(rows))
+            assert str(info.value) == want
 
 
 def test_bit_vertices_matches_bit_tests():
@@ -176,7 +222,7 @@ def test_laplacian_matches_reference(n):
     rng = random.Random(n)
     for g in (empty_graph(n), complete(n), random_graph(rng, n)):
         lap = laplacian(g)
-        assert lap.dtype == np.int64
+        assert lap.dtype == np.int64 and lap.shape == (n, n) and lap.flags.c_contiguous
         assert lap.tolist() == reference_laplacian(g)
 
 

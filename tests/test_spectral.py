@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from graphentropy.graphs import (
+    Graph,
+    add_edge,
     complete,
     complete_bipartite,
     component_count,
@@ -25,6 +27,8 @@ from graphentropy.spectral import (
     eigenvalues_symmetric,
 )
 from graphentropy.verify import TREE_BLOCK
+
+from _oracles import reference_laplacian
 
 
 def random_graph(rng, n, p=0.5):
@@ -140,6 +144,39 @@ def test_density_spectrum_exact_cases():
 def test_density_spectrum_rejects_edgeless():
     with pytest.raises(ValueError):
         density_spectrum(empty_graph(3))
+
+
+def reference_spectrum(g):
+    """eigvalsh of the bit-test Laplacian in float, descending, over d, with
+    values within DEFAULT_TOL of 0 snapped to 0."""
+    w = np.linalg.eigvalsh(np.array(reference_laplacian(g), dtype=np.float64))[::-1] / (2 * g.m)
+    return np.where(np.abs(w) <= DEFAULT_TOL, 0.0, w)
+
+
+def test_density_spectrum_bit_identical_to_reference():
+    graphs = [
+        Graph(n, tuple(row))
+        for n in range(2, 8)
+        for block in census(n)
+        for row in block.rows[block.rows.any(axis=1)].tolist()
+    ]
+    for block in census(6):
+        for row in block.rows.tolist():
+            g = Graph(6, tuple(row))
+            graphs.extend(add_edge(g, u, v) for u, v in g.non_edges())
+    rng = random.Random(15)
+    for n in (9, 16, 17, 33, 64):  # row widths of 2, 2, 3, 5 and 8 bytes
+        graphs.extend(random_graph(rng, n, p) for p in (0.1, 0.5, 0.9))
+    for g in graphs:
+        got = np.array(density_spectrum(g), dtype=np.float64)
+        assert got.tobytes() == reference_spectrum(g).tobytes(), g
+
+
+def test_density_spectrum_checks_the_matrix_symmetry():
+    g = path(4)
+    object.__setattr__(g, "adj", (2, 5, 10, 0))  # vertex 3 drops its edge to 2
+    with pytest.raises(ValueError, match="not symmetric"):
+        density_spectrum(g)
 
 
 def test_density_spectra_bit_identical_to_per_graph_path():
