@@ -49,7 +49,6 @@ from .entropy import (
     star_entropy_closed,
     star_test,
     tr2,
-    union_entropy,
     von_neumann_entropy,
 )
 from .enumeration import (
@@ -90,8 +89,7 @@ __all__ = [
     "EntropyReport", "bipartite_entropy_closed", "density_test",
     "entropy_augmentation", "entropy_report", "graph_renyi_entropy",
     "h2_degree", "k2n2_closed", "renyi_entropy", "shannon_entropy",
-    "star_entropy_closed", "star_test", "tr2", "union_entropy",
-    "von_neumann_entropy",
+    "star_entropy_closed", "star_test", "tr2", "von_neumann_entropy",
     # enumeration
     "canonical_form", "enumerate_graphs", "enumerate_trees", "stream_graph6",
     # verify

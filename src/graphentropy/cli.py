@@ -110,18 +110,10 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def _report_row(g: Graph, alphas: Sequence[float]) -> dict:
-    rep = entropy_report(g, alphas)
-    row: dict = {
-        "graph6": rep.graph6,
-        "n": rep.n,
-        "m": rep.m,
-        "S": rep.S,
-        "tr2": rep.tr2,
-        "star_test": rep.star_test,
-        "density_test": rep.density_test,
-    }
+    row = asdict(entropy_report(g, alphas))
+    hs = row.pop("H")
     for a in alphas:
-        row[f"H_{a:g}"] = rep.H.get(float(a))
+        row[f"H_{a:g}"] = hs.get(float(a))
     return _round12(row)
 
 

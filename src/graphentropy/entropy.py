@@ -160,23 +160,6 @@ def density_test(n: int, m: int) -> bool:
     return m * m * n >= (math.comb(n, 2) + m) ** 2
 
 
-def union_entropy(parts: Sequence[tuple[float, int]]) -> float:
-    """Entropy of a disjoint union from per-part entropies and edge degrees.
-
-    ``parts`` holds (S(G_i), d_i) with d_i = 2*m_i > 0; writing
-    c_i = d_i / sum d_j, the union's entropy is
-    sum c_i S(G_i) + sum c_i log2(1/c_i).
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("union of no parts")
-    if any(d <= 0 for _, d in parts):
-        raise ValueError("every part must have at least one edge")
-    total = sum(d for _, d in parts)
-    mix = [(s, d / total) for s, d in parts]
-    return math.fsum(c * s for s, c in mix) + math.fsum(-c * math.log2(c) for _, c in mix)
-
-
 def k2n2_closed(n: int) -> tuple[float, float]:
     """(S(K_{2,n-2}), S(K_{2,n-2}+e)) for n >= 4, where e joins the 2-side.
 

@@ -1,31 +1,23 @@
 """Immutable simple graphs on up to 64 vertices, stored as adjacency bitsets.
 
 Vertices are the integers 0..n-1 and ``adj[u]`` has bit ``v`` set iff uv is an
-edge, so the whole neighborhood of a vertex fits in one machine word. That
-representation is what the exhaustive searches elsewhere in the package lean
-on: edge tests, degree counts, and frontier expansions are single bit
+edge, so edge tests, degree counts and frontier expansions are single bit
 operations. Graphs are frozen values; every operation returns a new graph.
 
-Checks run in one place each. ``Graph`` decides at construction that its
-rows form a simple graph, by one test on the rows packed as a bit matrix
-(equal to its transpose, nothing on the diagonal or past column n-1), and
-names the fault by a per-vertex walk only when that test fails.
-``laplacian`` trusts a built graph and checks nothing; the spectral code
-checks the matrix it solves.
+Checks run in one place each: ``Graph`` decides at construction that its
+rows form a simple graph, ``parse_graph6`` checks a word before decoding its
+body, ``laplacian`` trusts a built graph, and the spectral code checks the
+matrix it solves.
 
-This module also provides the graph6 codec (size byte(s), then the upper
-triangle x(0,1), x(0,2), x(1,2), ... packed big-endian into 6-bit chunks,
-each offset by 63), the standard families used throughout (stars, paths,
-complete and complete bipartite graphs), the integer Laplacian, built from
-a 256-entry byte table, and basic structural invariants.
-``_graph6_bytes`` is the one graph6 encoder: it packs a triangle given as
-one integer, which ``_graph6_body`` reads off adjacency rows, and the two
-serve both ``write_graph6`` and ``enumeration.canonical_form``.
+Also here: the graph6 codec (McKay & Piperno, *nauty and Traces User's
+Guide*), whose encoder and decoder share one base64 table and one column
+order, the standard families, the integer Laplacian and basic invariants.
 """
 
 from __future__ import annotations
 
 import binascii
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, NoReturn
@@ -41,30 +33,20 @@ class Graph6Error(ValueError):
     """Malformed graph6 input; the message names the offending byte offset."""
 
 
+# _BYTE_VERTICES[b]: the set bits of the byte value b, as vertices
 _BYTE_VERTICES = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
-# _BYTE_TABLES[k][b]: the set bits of byte value b at byte offset k, as vertices
-_BYTE_TABLES = (_BYTE_VERTICES,) + tuple(
-    tuple(tuple([8 * k + v for v in t]) for t in _BYTE_VERTICES) for k in range(1, 8)
-)
-_SECOND_BYTE = _BYTE_TABLES[1]
+_SECOND_BYTE = tuple(tuple([8 + v for v in t]) for t in _BYTE_VERTICES)
 
 
 def _bit_vertices(mask: int) -> tuple[int, ...]:
-    """Set bit positions of ``mask`` (0 <= mask < 2**64), increasing.
-
-    Each byte of the mask is looked up in the table of its byte offset and
-    the entries are concatenated; no loop runs over bits. A mask below 256
-    (n <= 8) returns the shared entry itself, one below 2**16 (n <= 16) joins
-    two entries.
-    """
+    """Set bit positions of ``mask`` (0 <= mask < 2**64), increasing, by one
+    table lookup per byte; masks from 2**16 up occur only at n > 16."""
     if mask < 256:
         return _BYTE_VERTICES[mask]
     if mask < 65536:
         return _BYTE_VERTICES[mask & 255] + _SECOND_BYTE[mask >> 8]
-    out: tuple[int, ...] = ()
-    for table, byte in zip(_BYTE_TABLES, mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
-        out += table[byte]
-    return out
+    by_byte = enumerate(mask.to_bytes(8, "little"))
+    return tuple([8 * k + v for k, b in by_byte for v in _BYTE_VERTICES[b]])
 
 
 def _repeat(pattern: int, period: int, times: int) -> int:
@@ -91,12 +73,12 @@ def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
 
 
 def _bit_matrix(n: int) -> tuple:
-    """(row packer, diagonal and columns >= n, delta swaps) for order n."""
+    """(row packer, row unpacker, diagonal and columns >= n, delta swaps) for order n."""
     w = 8 if n <= 8 else 16 if n <= 16 else 32 if n <= 32 else 64
     word = {8: "B", 16: "H", 32: "I", 64: "Q"}[w]  # unsigned, w bits
-    pack = struct.Struct(f"<{n}{word}").pack
+    rows = struct.Struct(f"<{n}{word}")
     outside = _repeat(1, w + 1, w) | _repeat((1 << w) - (1 << n), w, w)
-    return pack, outside, _TRANSPOSE_SWAPS[w]
+    return rows.pack, rows.unpack, outside, _TRANSPOSE_SWAPS[w]
 
 
 _TRANSPOSE_SWAPS = {w: _transpose_swaps(w) for w in (8, 16, 32, 64)}
@@ -123,14 +105,12 @@ def _raise_adjacency_fault(n: int, adj: tuple[int, ...]) -> NoReturn:
 class Graph:
     """A simple undirected graph ``Graph(n, adj)``; its size ``m`` is derived.
 
-    Invariants (checked at construction): 1 <= n <= 64, one bitmask in ``adj``
-    per vertex with no bit at n or above, no loops, and adjacency is
-    symmetric. One test decides all three for every constructor: the rows
-    are packed into a W x W bit matrix x (W = 8, 16, 32 or 64, the smallest
-    that holds n), which is valid iff x equals its transpose and misses the
-    diagonal and the columns >= n; ``m`` is half the bits of x. A row below 0
-    or of W bits or more does not pack and fails the test. Only after a
-    failure does a per-vertex walk run, to name the first faulty vertex.
+    Construction checks 1 <= n <= 64, one row per vertex, no bit at n or
+    above, no loops and symmetry by one test: the rows packed as a W x W bit
+    matrix (W = 8, 16, 32 or 64) must equal its transpose and miss the
+    diagonal and the columns >= n. Only if that fails does a per-vertex walk
+    run, to name the first fault. ``adj`` is stored as Python ints, whatever
+    integer type the rows came in.
     """
 
     n: int
@@ -142,18 +122,20 @@ class Graph:
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency tuple length must equal the graph order")
-        pack, outside, swaps = _BIT_MATRIX[n]
+        pack, unpack, outside, swaps = _BIT_MATRIX[n]
         try:
-            x = int.from_bytes(pack(*adj), "little")
+            packed = pack(*adj)
         except struct.error:  # a row below 0 or of W bits or more
-            _raise_adjacency_fault(n, adj)
-        t = x
+            _raise_adjacency_fault(n, tuple(map(operator.index, adj)))
+        adj = unpack(packed)  # Python ints: numpy rows would overflow in later shifts
+        x = t = int.from_bytes(packed, "little")
         for delta, mask in swaps:  # delta swaps transpose t in place
             s = (t ^ (t >> delta)) & mask
             t ^= s ^ (s << delta)
         if x & outside or x != t:
             _raise_adjacency_fault(n, adj)
-        object.__setattr__(self, "m", x.bit_count() >> 1)  # a frozen field set once, here
+        object.__setattr__(self, "adj", adj)  # frozen fields set once, here
+        object.__setattr__(self, "m", x.bit_count() >> 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -216,7 +198,7 @@ def _check_order(n: int) -> None:  # before anything of size n is built
 
 
 def empty_graph(n: int) -> Graph:
-    """The edgeless graph on n vertices."""
+    """The edgeless graph on n vertices; ``from_edges`` builds every family from it."""
     _check_order(n)
     return Graph(n, (0,) * n)
 
@@ -293,17 +275,15 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
 
 # _LAPLACIAN_ROWS[b]: the Laplacian entries of one byte b of a row, as the
 # bytes of 8 int64s: -1 at the set bits of b, 0 elsewhere
-_LAPLACIAN_ROWS = tuple(map(bytes, -((np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1)))
+_LAPLACIAN_ROWS = tuple(
+    b"".join([b"\xff" * 8 if v in t else bytes(8) for v in range(8)]) for t in _BYTE_VERTICES
+)
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A as a C-contiguous int64 (n, n) matrix.
-
-    The rows are packed W bits each, as ``Graph`` packs them, and each byte
-    is looked up in ``_LAPLACIAN_ROWS``; the joined entries are read as one
-    (n, W) array, one strided store writes the degrees to its diagonal, and
-    the array is cut to n columns when W > n. No check runs here:
-    ``density_spectrum`` checks the matrix it solves.
+    """Combinatorial Laplacian L = D - A as a C-contiguous int64 (n, n) matrix,
+    joined from one ``_LAPLACIAN_ROWS`` entry per byte of the rows as ``Graph``
+    packs them. It checks nothing: ``density_spectrum`` checks what it solves.
     """
     n, adj = g.n, g.adj
     pack = _BIT_MATRIX[n][0]
@@ -402,10 +382,10 @@ def matching_number(g: Graph) -> int:
 
 # --- graph6 codec ---------------------------------------------------------
 
-# base64 digit value v (A-Z, a-z, 0-9, +, /) -> graph6 byte 63 + v
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# base64 digit value v (A-Z, a-z, 0-9, +, /) <-> graph6 byte 63 + v
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64_DIGITS)
 
 
 def _graph6_bytes(n: int, body: int) -> bytes:
@@ -484,21 +464,20 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - body_at > nbytes:
         raise fail(body_at + nbytes, "trailing garbage after graph body")
 
+    fill = -nbytes % 4  # 'A' (digit 0) to whole 4-digit base64 words, shifted back off
+    digits = stripped[body_at:].encode("ascii").translate(_GRAPH6_TO_BASE64) + b"A" * fill
+    bits = int.from_bytes(binascii.a2b_base64(digits), "big") >> 6 * fill
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
+        raise fail(body_at + nbytes - 1, "nonzero padding bits")
+    # reversed, the triangle is _graph6_body's stack: column j, the bits of
+    # adj[j] below bit j, sits above columns 1..j-1
+    flipped = int(f"{bits >> pad:0{nbits}b}"[::-1], 2)
     adj = [0] * n
-    idx = 0
-    i, j = 0, 1
-    for off in range(body_at, body_at + nbytes):
-        chunk = data[off] - 63
-        for k in range(5, -1, -1):
-            bit = (chunk >> k) & 1
-            if idx < nbits:
-                if bit:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                idx += 1
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise fail(off, "nonzero padding bits")
+    for j in range(1, n):
+        column = flipped & ((1 << j) - 1)
+        flipped >>= j
+        adj[j] |= column
+        for i in _bit_vertices(column):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))

@@ -11,12 +11,8 @@ rather than noise.
 Where each check runs: ``eigenvalues_symmetric`` checks an arbitrary float
 matrix (square, finite Frobenius norm, symmetric within ``DEFAULT_TOL``
 times the norm, eigenvalue sum equal to the trace). ``density_spectrum``
-does not call it; it solves the int64 Laplacian itself and runs the same
-checks in the exact form they take on an integer matrix (the norm from the
-integer degrees, symmetry as exact equality with the transpose), then the
-tolerance cleaning. ``density_spectra`` runs the trace check and the
-cleaning once per stacked block and tests no symmetry: its callers stack
-the rows of census blocks and of built ``Graph`` trees.
+runs the same checks in their exact form on the int64 Laplacian, and
+``density_spectra`` runs symmetry and the trace once per stacked block.
 """
 
 from __future__ import annotations
@@ -58,15 +54,13 @@ def density_spectrum(g: Graph) -> tuple[float, ...]:
     """Eigenvalues of rho(G) = L(G)/d_G, descending, cleaned to an exact
     distribution shape with ``DEFAULT_TOL``.
 
-    One ``eigvalsh`` call solves the int64 Laplacian. The checks of
-    ``eigenvalues_symmetric`` run here in the exact form they take on that
-    matrix: its Frobenius norm is sqrt(sum d_i^2 + d_G) from the integer
-    degrees (bit for bit the float norm) and must be finite, the matrix must
-    equal its transpose exactly, and the eigenvalues must sum to the trace
-    d_G within n*DEFAULT_TOL times the norm. Raises for edgeless graphs
-    (d_G = 0), for eigenvalues below ``-DEFAULT_TOL`` (L is positive
-    semidefinite, so that would be a solver bug), and if the cleaned values
-    fail to sum to 1 within n*DEFAULT_TOL or lost the kernel zero.
+    The checks of ``eigenvalues_symmetric`` run in exact form: the Frobenius
+    norm sqrt(sum d_i^2 + d_G) from the integer degrees must be finite, L
+    must equal its transpose, and the eigenvalues must sum to d_G within
+    n*DEFAULT_TOL times the norm. Raises for edgeless graphs, for eigenvalues
+    below ``-DEFAULT_TOL`` (a solver bug, as L is positive semidefinite), and
+    if the cleaned values fail to sum to 1 within n*DEFAULT_TOL or lost the
+    kernel zero.
     """
     if g.m == 0:
         raise ValueError("density matrix undefined: graph has no edges")
@@ -104,6 +98,8 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[1]
     bits = (rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1
+    if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+        raise ValueError("Laplacian is not symmetric")
     lap = np.where(bits != 0, -1.0, 0.0)
     degrees = bits.sum(axis=2)
     lap[:, range(n), range(n)] = degrees

@@ -5,7 +5,7 @@ computed by permuting labeled edge masks, Laplacians by one bit test per
 entry, graph validity by a walk over every vertex pair, matchings by trying
 all edge subsets, equitable partitions by re-scanning every cell for every
 splitter, graph6 words by appending one triangle bit at a time (in any
-vertex order), attachment sets by testing every subset and closing its
+vertex order) and read back the same way, attachment sets by testing every subset and closing its
 orbit, Renyi entropies in 60-digit decimal arithmetic.
 Slow on purpose; keep the orders tiny.
 """
@@ -167,6 +167,36 @@ def reference_write_graph6(g: Graph, order: Sequence[int] | None = None) -> str:
     if nbits:
         out.append(chr(63 + (acc << (6 - nbits))))
     return "".join(out)
+
+
+def reference_graph6_rows(word: str) -> tuple[int, ...]:
+    """Adjacency rows of a graph6 word (no header, a body of the right
+    length), read one triangle bit at a time in column order x(0,1), x(0,2),
+    x(1,2), ...; a set padding bit raises ValueError worded as
+    ``parse_graph6`` words it, at the offset of its byte."""
+    data = [ord(c) - 63 for c in word]
+    if data[0] == 63:  # '~': 4-byte size form
+        n, body_at = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    else:
+        n, body_at = data[0], 1
+    nbits = n * (n - 1) // 2
+    adj = [0] * n
+    idx = 0
+    i, j = 0, 1
+    for off in range(body_at, len(data)):
+        for k in range(5, -1, -1):
+            bit = (data[off] >> k) & 1
+            if idx < nbits:
+                if bit:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                idx += 1
+                i += 1
+                if i == j:
+                    i, j = 0, j + 1
+            elif bit:
+                raise ValueError(f"graph6 parse error at byte {off}: nonzero padding bits")
+    return tuple(adj)
 
 
 def reference_attachment_sets(degs: Sequence[int], perms: Sequence[Sequence[int]]) -> list[int]:

@@ -20,7 +20,6 @@ from graphentropy.entropy import (
     star_entropy_closed,
     star_test,
     tr2,
-    union_entropy,
     von_neumann_entropy,
 )
 from graphentropy.enumeration import enumerate_graphs
@@ -288,15 +287,10 @@ def test_union_entropy_matches_direct():
         built += 1
         whole = disjoint_union(parts)
         direct = von_neumann_entropy(whole)
-        combined = union_entropy([(von_neumann_entropy(p), 2 * p.m) for p in parts])
+        # grouping: sum c_i S(G_i) - sum c_i log2 c_i with c_i = m_i / m
+        shares = [p.m / whole.m for p in parts]
+        combined = sum(c * (von_neumann_entropy(p) - math.log2(c)) for c, p in zip(shares, parts))
         assert abs(direct - combined) < 1e-10
-
-
-def test_union_entropy_validation():
-    with pytest.raises(ValueError):
-        union_entropy([])
-    with pytest.raises(ValueError):
-        union_entropy([(1.0, 0)])
 
 
 # --- the K_{2,n-2} family -----------------------------------------------------

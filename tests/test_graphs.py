@@ -29,12 +29,14 @@ from graphentropy.graphs import (
     write_graph6,
     _bit_vertices,
 )
+from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
 
 from _oracles import (
     brute_matching,
     edge_mask,
     min_mask,
     reference_graph_check,
+    reference_graph6_rows,
     reference_laplacian,
     reference_write_graph6,
 )
@@ -111,6 +113,30 @@ def test_validity_matches_reference_walk(n):
             with pytest.raises(ValueError) as info:
                 Graph(n, tuple(rows))
             assert str(info.value) == want
+
+
+@pytest.mark.parametrize("n", [8, 16, 17])
+def test_numpy_integer_rows_are_stored_as_python_ints(n):
+    assert write_graph6(Graph(8, tuple(np.array(complete(8).adj, dtype=np.uint8)))) == "G~~~~{"
+    rng = random.Random(70 + n)
+    for dtype in (np.uint8, np.uint16, np.uint64):
+        k = min(n, np.iinfo(dtype).bits)  # edges among the first k vertices fit the dtype
+        for part in (random_graph(rng, k, 0.9), random_graph(rng, k, 0.4)):
+            g = disjoint_union([part, empty_graph(n - k)]) if k < n else part
+            h = Graph(n, tuple(np.array(g.adj, dtype=dtype)))
+            assert h == g and all(type(row) is int for row in h.adj)
+            assert write_graph6(h) == write_graph6(g)
+            assert component_count(h) == component_count(g)
+            assert laplacian(h).tolist() == laplacian(g).tolist()
+            if is_connected(g):
+                assert diameter(h) == diameter(g)
+            if n <= CANON_MAX:
+                assert canonical_form(h) == canonical_form(g)
+        with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 1"):
+            Graph(n, tuple(np.array([2] + [0] * (n - 1), dtype=dtype)))
+    for rows in ((2.0, 1.0), (np.float64(2), np.float64(1))):
+        with pytest.raises(TypeError):
+            Graph(2, rows)
 
 
 def test_bit_vertices_matches_bit_tests():
@@ -313,6 +339,29 @@ def test_write_graph6_matches_bitwise_reference(n):
     rng = random.Random(40 + n)
     for g in [empty_graph(n), complete(n)] + [random_graph(rng, n) for _ in range(10)]:
         assert write_graph6(g) == reference_write_graph6(g)
+
+
+def test_parse_graph6_matches_bitwise_reference():
+    # every class at n <= 7, seeded random graphs at both size forms, and
+    # each of those words once with each of its padding bits set
+    rng = random.Random(16)
+    words = [write_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)]
+    for n in (9, 16, 17, 33, 62, 63, 64):
+        words += [write_graph6(random_graph(rng, n, rng.random())) for _ in range(10)]
+    padded = []
+    for word in words:
+        n = len(reference_graph6_rows(word))
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            padded.append(word[:-1] + chr(63 + ((ord(word[-1]) - 63) | 1 << bit)))
+    assert len(padded) > 1000
+    for word in words:
+        assert parse_graph6(word).adj == reference_graph6_rows(word)
+    for word in padded:
+        with pytest.raises(ValueError) as want:
+            reference_graph6_rows(word)
+        with pytest.raises(Graph6Error) as got:
+            parse_graph6(word)
+        assert str(got.value) == str(want.value)
 
 
 def test_graph6_errors_name_offsets():

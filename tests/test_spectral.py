@@ -196,6 +196,12 @@ def test_density_spectra_bit_identical_to_per_graph_path():
             assert tuple(vals) == density_spectrum(t)
 
 
+def test_density_spectra_rejects_asymmetric_rows():
+    # vertex 0 lists 1 and 2, vertex 1 lists nobody
+    with pytest.raises(ValueError, match="Laplacian is not symmetric"):
+        density_spectra(np.array([[6, 0, 1]], dtype=np.uint8))
+
+
 def test_density_spectra_rejects_edgeless_row():
     rows = np.array([[2, 1, 0], [0, 0, 0]], dtype=np.uint8)  # K2 + K1, then empty
     with pytest.raises(ValueError):
