@@ -20,14 +20,16 @@ encoder ``write_graph6`` also uses), is the canonical graph6 word that
 ``canonical_form`` returns as a str. Isomorphic graphs have search trees
 that agree up to relabeling, so they get the same word. The minimum is taken
 over the leaves only, not over all n! orderings, so the word is in general
-not the smallest graph6 word of the class. Two leaves with the same encoding
-differ by an automorphism; discovered automorphisms prune sibling branches
-through their orbits (an automorphism fixes a prefix when the prefix's mask
-lies inside its fixed-point mask), which keeps highly symmetric graphs
-(complete, complete bipartite) from exploding. A forest follows its first
-branch only (see ``_forest_ordering``); for other graphs the search is exact
-but exponential in the worst case. Both serve the orders this package works
-at (n <= 16).
+not the smallest graph6 word of the class. Swapping two twins (vertices
+with one open or one closed neighbourhood) is an automorphism, and these
+transpositions are recorded before the search; two leaves with the same
+encoding differ by a further automorphism. Known automorphisms prune sibling
+branches through their orbits (an automorphism fixes a prefix when the
+prefix's mask lies inside its fixed-point mask), which keeps highly
+symmetric graphs (complete, complete bipartite) from exploding. A forest
+follows its first branch only (see ``_forest_ordering``); for other graphs
+the search is exact but exponential in the worst case. Both serve the orders
+this package works at (n <= 16).
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -41,11 +43,12 @@ tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
 1998). The degree rule comes first: two mask tests keep the sets that leave
 the new vertex of minimum degree, and orbits are closed over those sets only
 (see ``_attachment_sets``). A child that passes the degree invariant is
-searched once; the automorphisms found there also decide which of its tied
+searched once; the automorphisms it returns also decide which of its tied
 vertices still need a deletion search (one per orbit, none in the new
 vertex's orbit; see ``_accepted``), and the same search relabels an accepted
-child. The automorphisms are those the canonical search found, carried down
-the DFS in the canonical labeling; they may generate a proper subgroup, so
+child. The automorphisms are those the canonical search knew, its twin
+transpositions and those it found between leaves, carried down the DFS in
+the canonical labeling; they may generate a proper subgroup, so
 the few duplicate children left within one parent are dropped by canonical
 form. In one process, memory stays linear in the recursion depth; under the
 optional process-pool sharding, each shard returns its graphs as one list
@@ -85,7 +88,7 @@ from .graphs import (
 
 _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
 CANON_MAX = 16  # no canonical form above this order
-_AUT_CAP = 64  # keep at most this many discovered automorphisms per search
+_AUT_CAP = 64  # keep at most this many automorphisms per search
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> list[int]:
@@ -180,9 +183,15 @@ def _canon_search(
     is the j-bit integer whose bits are adjacency between position j and
     positions 0..j-1 (earliest position most significant), matching graph6
     bit order, so comparing column tuples compares graph6 bodies. The
-    automorphisms (vertex -> vertex, at most ``_AUT_CAP``) are those the
-    search found between leaves; they may generate only a subgroup of the
-    automorphism group.
+    automorphisms (vertex -> vertex) are first the twin transpositions, one
+    per consecutive pair of each class of vertices with one open or one
+    closed neighbourhood, known before the search and pruning it from the
+    root, then those the search found between leaves (at most ``_AUT_CAP``
+    in all, as n <= 16); they may generate only a subgroup of the
+    automorphism group. A pruned subtree is the image of an explored
+    sibling's under an automorphism fixing the prefix, so the columns and
+    the ordering (the first smallest leaf in DFS order) are those of the
+    search without pruning.
     """
     if n == 1:
         return (0,), (0,), []
@@ -190,6 +199,19 @@ def _canon_search(
     best_perm: list[int] | None = None
     auts: Auts = []
     fixed: list[int] = []  # fixed[i]: the vertices auts[i] maps to themselves
+    # twins (one open or one closed neighbourhood) swap by an automorphism;
+    # an open key (v not in it) never equals a closed one (v in it) in a
+    # simple graph, so one dict keeps each twin class's last vertex
+    last: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            u = last.get(key)
+            last[key] = v
+            if u is not None:
+                sigma = list(range(n))
+                sigma[u], sigma[v] = v, u
+                auts.append(tuple(sigma))
+                fixed.append(((1 << n) - 1) ^ (1 << u) ^ (1 << v))
     prefix: list[int] = []
 
     def search(cells: list[int]) -> None:
@@ -445,7 +467,7 @@ def _children(
     automorphisms are the search ``_accepted`` ran on it.
     """
     nc = k + 1
-    # found automorphisms may generate a proper subgroup, and distinct orbits
+    # known automorphisms may generate a proper subgroup, and distinct orbits
     # can still give isomorphic children, so duplicates remain possible
     seen: dict[tuple[int, ...], tuple[int, tuple[int, ...], Auts]] = {}
     for x in _attachment_sets([a.bit_count() for a in adj], auts):

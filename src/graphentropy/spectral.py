@@ -12,7 +12,8 @@ Where each check runs: ``eigenvalues_symmetric`` checks an arbitrary float
 matrix (square, finite Frobenius norm, symmetric within ``DEFAULT_TOL``
 times the norm, eigenvalue sum equal to the trace). ``density_spectrum``
 runs the same checks in their exact form on the int64 Laplacian, and
-``density_spectra`` runs symmetry and the trace once per stacked block.
+``density_spectra`` runs the row range, loops, symmetry and the trace once
+per stacked block.
 """
 
 from __future__ import annotations
@@ -92,12 +93,18 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
 
     ``rows`` is a (B, n) array of adjacency bitmasks, one graph per row (a
     census block's ``rows``). Returns a (B, n) array whose row i equals
-    ``density_spectrum`` of graph i, bit for bit,
-    with the same tolerance policy and errors. The Laplacian's off-diagonal
-    zeros must be +0.0: with -0.0 the stacked eigensolve drifts in the last bits.
+    ``density_spectrum`` of graph i, bit for bit, with the same tolerance
+    policy and errors. Rows that ``Graph`` would reject (a bit at a column
+    >= n, a loop, an asymmetric pair) raise ValueError. The Laplacian's
+    off-diagonal zeros must be +0.0: with -0.0 the stacked eigensolve drifts
+    in the last bits.
     """
     n = rows.shape[1]
+    if np.any(rows >> n):  # negative rows too, as ``Graph`` rejects them
+        raise ValueError("an adjacency row references vertices >= n")
     bits = (rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1
+    if bits.diagonal(axis1=1, axis2=2).any():
+        raise ValueError("an adjacency row has a loop")
     if not np.array_equal(bits, bits.transpose(0, 2, 1)):
         raise ValueError("Laplacian is not symmetric")
     lap = np.where(bits != 0, -1.0, 0.0)

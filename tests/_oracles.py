@@ -4,9 +4,11 @@ Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, Laplacians by one bit test per
 entry, graph validity by a walk over every vertex pair, matchings by trying
 all edge subsets, equitable partitions by re-scanning every cell for every
-splitter, graph6 words by appending one triangle bit at a time (in any
-vertex order) and read back the same way, attachment sets by testing every subset and closing its
-orbit, Renyi entropies in 60-digit decimal arithmetic.
+splitter, canonical searches by walking every leaf of the
+individualization-refinement tree, graph6 words by appending one triangle
+bit at a time (in any vertex order) and read back the same way, attachment
+sets by testing every subset and closing its orbit, Renyi entropies in
+60-digit decimal arithmetic.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -141,6 +143,42 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
                     queue.append(sum(1 << v for v in by_count[k]))
         cells = new_cells
     return cells
+
+
+def reference_canon_search(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(smallest column tuple, first ordering that reaches it) over every leaf
+    of the individualization-refinement tree, with no pruning.
+
+    Each node refines with ``reference_refine`` and individualizes, in
+    ascending order, each vertex of its first non-singleton cell; a leaf's
+    ordering lists its singleton cells, and its column j holds adjacency
+    between position j and positions 0..j-1, earliest most significant.
+    """
+    adj = tuple(adj)
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+
+    def walk(cells: list[list[int]]) -> None:
+        nonlocal best
+        cells = reference_refine(adj, cells)
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in sorted(cell):
+                    rest = [u for u in cell if u != v]
+                    walk(cells[:idx] + [[v], rest] + cells[idx + 1:])
+                return
+        order = tuple(cell[0] for cell in cells)
+        cols = []
+        for j in range(n):
+            col = 0
+            for i in range(j):
+                col = (col << 1) | ((adj[order[j]] >> order[i]) & 1)
+            cols.append(col)
+        if best is None or tuple(cols) < best[0]:
+            best = (tuple(cols), order)
+
+    walk([list(range(n))])
+    assert best is not None
+    return best
 
 
 def reference_write_graph6(g: Graph, order: Sequence[int] | None = None) -> str:

@@ -32,6 +32,7 @@ from _oracles import (
     labeled_classes,
     min_mask,
     reference_attachment_sets,
+    reference_canon_search,
     reference_refine,
 )
 
@@ -186,6 +187,46 @@ def test_first_leaf_is_not_canonical_off_forests():
     for g in (c3c4, from_edges(7, c3c4.non_edges())):
         forms = {canonical_form(relabeled(rng, 7, g.edges())) for _ in range(40)}
         assert forms == {canonical_form(g)}
+
+
+def random_regular(rng, n, d):
+    # pair n * d shuffled vertex stubs, redrawn until no loop or multi-edge
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == n * d // 2:
+            return from_edges(n, sorted(edges))
+
+
+def test_canon_search_matches_unpruned_reference():
+    # orbit pruning, by twin transpositions and by automorphisms found
+    # between leaves, skips only images of explored subtrees, so the columns
+    # and the first ordering reaching them are those of walking every leaf
+    rng = random.Random(27)
+    cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += [relabeled(rng, g.n, g.edges()) for g in cases]
+    cases += [complete(6), star(7), complete_bipartite(3, 3)]
+    cases.append(disjoint_union([complete(3), complete(3)]))
+    # regular graphs, where refinement stops at cells that can hold several
+    # orbits (C3 + C4 first), so a false twin would prune a smaller leaf
+    for g in enumerate_graphs(7):
+        if len({row.bit_count() for row in g.adj}) == 1 and 0 < g.m < 21:
+            cases.append(relabeled(rng, 7, g.edges()))
+    cases += [random_regular(rng, 8, d) for d in (2, 3, 4, 5) for _ in range(6)]
+    for n in (7, 8):
+        for _ in range(12):
+            # a random graph on n - 1 vertices plus an open or a closed twin
+            # of one of them, relabeled
+            g = random_graph(rng, n - 1, rng.uniform(0.3, 0.7))
+            u = rng.randrange(n - 1)
+            edges = g.edges() + [(w, n - 1) for w in range(n - 1) if g.adj[u] >> w & 1]
+            if rng.random() < 0.5:
+                edges.append((u, n - 1))
+            cases.append(relabeled(rng, n, edges))
+    for g in cases:
+        cols, order, _ = enumeration._canon_search(g.n, g.adj)
+        assert (cols, order) == reference_canon_search(g.n, g.adj), write_graph6(g)
 
 
 def random_ordered_partition(rng, n):
@@ -426,6 +467,23 @@ def test_canon_search_count_at_order_8(monkeypatch):
     monkeypatch.setattr(enumeration, "_canon_search", counting)
     assert sum(1 for _ in enumerate_graphs(8)) == 12346
     assert calls == 15880
+
+
+def test_refine_count_at_order_8(monkeypatch):
+    # the search nodes of generating every class at n = 8: 71170 when only
+    # automorphisms found between leaves pruned, without the twin
+    # transpositions known before the search
+    calls = 0
+    refine = enumeration._refine
+
+    def counting(adj, cells, fresh):
+        nonlocal calls
+        calls += 1
+        return refine(adj, cells, fresh)
+
+    monkeypatch.setattr(enumeration, "_refine", counting)
+    assert sum(1 for _ in enumerate_graphs(8)) == 12346
+    assert calls == 42687
 
 
 # --- census ------------------------------------------------------------------

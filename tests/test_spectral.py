@@ -202,6 +202,17 @@ def test_density_spectra_rejects_asymmetric_rows():
         density_spectra(np.array([[6, 0, 1]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "row, fault",
+    [([2 | 8, 1], "references vertices >= n"), ([3, 1], "loop")],
+)
+def test_density_spectra_rejects_rows_graph_rejects(row, fault):
+    # a bit at column 3 of a 2-vertex row, then a loop at vertex 0: each row
+    # pair is symmetric on columns < n, as ``Graph`` would not accept it
+    with pytest.raises(ValueError, match=fault):
+        density_spectra(np.array([row], dtype=np.uint8))
+
+
 def test_density_spectra_rejects_edgeless_row():
     rows = np.array([[2, 1, 0], [0, 0, 0]], dtype=np.uint8)  # K2 + K1, then empty
     with pytest.raises(ValueError):
