@@ -63,13 +63,19 @@ free trees", SIAM J. Comput. 15, 1986); its trees are not in canonical form.
 Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
 replayed on later calls; larger ones, to ``CENSUS_MAX``, stream and are dropped.
+A block solves the density spectra of its classes with an edge on first use
+(``CensusBlock.spectra``) and keeps them as long as it is kept, so the
+spectral engines share one solve per order and process, while the scans that
+read only degrees never solve.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +91,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
+from .spectral import density_spectra
 
 _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
 CANON_MAX = 16  # no canonical form above this order
@@ -545,17 +552,28 @@ CENSUS_KEPT = 9  # orders up to this are kept once enumerated; larger ones strea
 CENSUS_MAX = 10  # no census above this order: n = 11 has about 10^9 classes
 
 
-class CensusBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class CensusBlock:
     """Consecutive classes of one order, in ``enumerate_graphs`` order.
 
     ``rows[i]`` holds the adjacency bitmasks of class i (one unsigned column
     per vertex), ``connected[i]`` whether it is connected, and ``graph6[i]``
-    its graph6 word.
+    its graph6 word. All three are read-only. ``spectra`` is solved on first
+    use and then lives as long as the block.
     """
 
     rows: np.ndarray
     connected: np.ndarray
     graph6: np.ndarray
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """Read-only density spectra of the block's classes with an edge, in
+        block order, from one stacked ``density_spectra`` solve; row i is
+        bit-identical to ``density_spectrum`` of the i-th such class."""
+        vals = density_spectra(self.rows[self.rows.any(axis=1)])
+        vals.flags.writeable = False
+        return vals
 
 
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
@@ -567,7 +585,9 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     Each block is yielded as soon as it is filled. A stream of order
     n <= ``CENSUS_KEPT`` that runs to its end is kept, and later calls in the
     process replay it without enumerating again; a stream stopped early keeps
-    nothing. Larger orders are enumerated on every call and never kept.
+    nothing. A kept block keeps its ``spectra`` once any caller has asked for
+    them, so each kept order is also solved at most once per process. Larger
+    orders are enumerated on every call and never kept, spectra included.
     An order above ``CENSUS_MAX`` raises ValueError before enumerating.
     """
     if n > CENSUS_MAX:
@@ -585,7 +605,7 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
                 np.array([is_connected(g) for g in chunk]),
                 np.array([write_graph6(g) for g in chunk]),
             )
-            for arr in block:  # a kept block is shared by every later caller
+            for arr in (block.rows, block.connected, block.graph6):  # shared when kept
                 arr.flags.writeable = False
             if n <= CENSUS_KEPT:
                 blocks.append(block)
@@ -597,7 +617,8 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
 
 
 def clear_census() -> None:
-    """Forget every kept census, so the next ``census`` call enumerates."""
+    """Forget every kept census and its spectra, so the next ``census`` call
+    enumerates."""
     _CENSUS.clear()
 
 

@@ -2,7 +2,10 @@
 
 Every graph engine folds over the census of one order n (enumerated once per
 process), the tree engine over the tree generator; each checks one claim and
-returns a ``VerificationResult``.
+returns a ``VerificationResult``. The spectral engines read the density
+spectra each census block keeps, so an order's spectra are solved once per
+process too, by the first engine that asks; the engines that read only degrees
+never solve.
 Two kinds of claim are treated differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
@@ -38,7 +41,7 @@ from .entropy import (
     density_test,
     tr2,
 )
-from .enumeration import CANON_MAX, canonical_form, census, enumerate_trees
+from .enumeration import CANON_MAX, CensusBlock, canonical_form, census, enumerate_trees
 from .graphs import (
     DegreeSequence,
     Graph,
@@ -78,14 +81,19 @@ class VerificationResult:
             raise ValueError("a claim that holds has no witnesses")
 
 
+def _witness_cap(cap: int) -> int:
+    """``cap``, checked by the one rule for every witness cap: an int >= 0."""
+    if not (isinstance(cap, int) and cap >= 0):
+        raise ValueError(f"witness cap must be >= 0 and an int, got {cap!r}")
+    return cap
+
+
 class _Witnesses:
     """The witnesses of one scan: an exact count, and the first ``cap`` kept in
     scan order."""
 
     def __init__(self, cap: int) -> None:
-        if cap < 0:
-            raise ValueError(f"witness cap must be >= 0, got {cap}")
-        self.cap = cap
+        self.cap = _witness_cap(cap)
         self.count = 0
         self.kept: list = []
 
@@ -144,18 +152,24 @@ class _Extremes:
         return [tag for _, tag in self.ties]
 
 
-def _scan(n: int, workers: int, edged: bool = False) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """(adjacency rows, graph6 words) of the connected classes, block by block;
-    with ``edged``, of every class with an edge instead."""
+def _scan(n: int, workers: int, edged: bool = False) -> Iterator[tuple[CensusBlock, np.ndarray]]:
+    """Each census block with the mask of its connected classes; with
+    ``edged``, of its classes with an edge instead."""
     for block in census(n, workers=workers):
-        keep = block.rows.any(axis=1) if edged else block.connected
-        yield block.rows[keep], block.graph6[keep].tolist()
+        yield block, block.rows.any(axis=1) if edged else block.connected
+
+
+def _kept_spectra(block: CensusBlock, keep: np.ndarray) -> list[list[float]]:
+    """The density spectra of the classes ``keep`` selects, read from the
+    block's kept ``spectra``. Those hold the classes with an edge, so the mask
+    is read at them; for n >= 2 every connected class has an edge."""
+    return block.spectra[keep[block.rows.any(axis=1)]].tolist()
 
 
 def _spectra(n: int, workers: int, edged: bool = False) -> Iterator[tuple[list[float], str]]:
     """(density spectrum, graph6 word) per class that ``_scan`` keeps."""
-    for rows, words in _scan(n, workers, edged):
-        yield from zip(density_spectra(rows).tolist(), words)
+    for block, keep in _scan(n, workers, edged):
+        yield from zip(_kept_spectra(block, keep), block.graph6[keep].tolist())
 
 
 def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
@@ -166,8 +180,8 @@ def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
 
 def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
     """(degree sequence, graph6 word) per connected class."""
-    for rows, words in _scan(n, workers):
-        yield from zip(_degree_sequences(rows), words)
+    for block, keep in _scan(n, workers):
+        yield from zip(_degree_sequences(block.rows[keep]), block.graph6[keep].tolist())
 
 
 def _is_star(d: DegreeSequence) -> bool:
@@ -452,8 +466,12 @@ def edge_add_decrease_search(
     min_bound_margin = math.inf
     graphs = (
         (Graph(n, tuple(adj)), deg, g6)
-        for rows, words in _scan(n, workers)
-        for adj, deg, g6 in zip(rows.tolist(), _degree_sequences(rows), words)
+        for block, keep in _scan(n, workers)
+        for adj, deg, g6 in zip(
+            block.rows[keep].tolist(),
+            _degree_sequences(block.rows[keep]),
+            block.graph6[keep].tolist(),
+        )
     )
     for g, deg, g6 in graphs:
         classes += 1
@@ -572,7 +590,8 @@ def param_comparability(
     S(G1) > S(G2) + 1e-9; ``entropy_rises`` the pairs with S(G1) < S(G2) -
     1e-9. Both nonempty means the parameter and S are incomparable. Lists
     are capped at ``cap`` and keep the first pairs in row-major census order
-    (G1 outer, G2 inner); counts are exact.
+    (G1 outer, G2 inner); counts are exact. ``cap`` follows the witness-cap
+    rule (an int >= 0), checked before the census is read.
 
     No pair is visited to count. For each param level, the keys S(G2) + 1e-9
     (drops) and S(G2) - 1e-9 (rises) of the graphs at higher levels are
@@ -585,14 +604,15 @@ def param_comparability(
         raise ValueError("need n >= 2")
     if param not in _PARAMS:
         raise ValueError(f"param must be one of {sorted(_PARAMS)}")
+    cap = _witness_cap(cap)
     f = _PARAMS[param]
     ps: list[int] = []
     ss: list[float] = []
     words: list[str] = []
-    for adj_rows, block_words in _scan(n, workers):
-        ps.extend(f(Graph(n, tuple(adj))) for adj in adj_rows.tolist())
-        ss.extend(shannon_entropy(vals) for vals in density_spectra(adj_rows).tolist())
-        words.extend(block_words)
+    for block, keep in _scan(n, workers):
+        ps.extend(f(Graph(n, tuple(adj))) for adj in block.rows[keep].tolist())
+        ss.extend(shannon_entropy(vals) for vals in _kept_spectra(block, keep))
+        words.extend(block.graph6[keep].tolist())
     p = np.array(ps, dtype=np.int64)
     s = np.array(ss, dtype=np.float64)
     drop_key = s + EPS  # G2 is a drop partner of G1 when drop_key[G2] < S(G1)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from graphentropy import enumeration, graphs
@@ -26,6 +27,8 @@ from graphentropy.graphs import (
     star,
     write_graph6,
 )
+
+from graphentropy.spectral import density_spectrum
 
 from _oracles import (
     edge_mask,
@@ -540,6 +543,34 @@ def test_census_stopped_midstream_keeps_nothing(monkeypatch):
     assert 7 not in enumeration._CENSUS
     census_stream(7)
     assert len(calls) == 3 and 7 in enumeration._CENSUS
+
+
+def test_census_spectra_are_kept_read_only_and_bit_identical():
+    clear_census()
+    for n in range(1, 8):
+        for block in census(n):
+            words = block.graph6[block.rows.any(axis=1)].tolist()
+            assert block.spectra.shape == (len(words), n)
+            for vals, word in zip(block.spectra, words):
+                want = np.array(density_spectrum(parse_graph6(word)), dtype=np.float64)
+                assert vals.tobytes() == want.tobytes(), word
+            with pytest.raises(ValueError):
+                block.spectra[0, 0] = 0.5
+        # a replay hands out the same blocks, so the spectra are not solved again
+        assert all(a.spectra is b.spectra for a, b in zip(census(n), census(n)))
+
+
+def test_census_forgets_spectra_with_its_blocks(monkeypatch):
+    clear_census()
+    kept = [block.spectra for block in census(6)]
+    assert all(a is b.spectra for a, b in zip(kept, census(6)))
+    clear_census()
+    assert all(a is not b.spectra for a, b in zip(kept, census(6)))
+    # a streamed order keeps neither its blocks nor their spectra
+    monkeypatch.setattr(enumeration, "CENSUS_KEPT", 5)
+    clear_census()
+    first = [block.spectra for block in census(6)]
+    assert all(a is not b.spectra for a, b in zip(first, census(6)))
 
 
 def test_census_rejects_orders_above_the_bound(monkeypatch):

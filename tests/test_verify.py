@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 from graphentropy.entropy import renyi_entropy, star_entropy_closed, von_neumann_entropy
+from graphentropy import enumeration
 from graphentropy.enumeration import (
     CANON_MAX,
     canonical_form,
+    census,
+    clear_census,
     enumerate_graphs,
     enumerate_trees,
 )
@@ -344,6 +348,20 @@ def test_negative_witness_cap_rejected(claim):
 
 
 @pytest.mark.parametrize("claim", sorted(CAPPED_ENGINES))
+def test_fractional_witness_cap_rejected(claim):
+    with pytest.raises(ValueError, match="witness cap must be >= 0"):
+        CAPPED_ENGINES[claim](2.5)
+
+
+@pytest.mark.parametrize("cap", [-1, 2.5])
+def test_param_compare_rejects_a_bad_cap_before_the_census(monkeypatch, cap):
+    # the witness-cap rule runs first: reading the census would fail this test
+    monkeypatch.setattr(verify, "census", None)
+    with pytest.raises(ValueError, match="witness cap must be >= 0"):
+        param_comparability(5, "diameter", cap=cap)
+
+
+@pytest.mark.parametrize("claim", sorted(CAPPED_ENGINES))
 def test_witness_cap_zero_keeps_the_verdict(claim):
     full = CAPPED_ENGINES[claim](DEFAULT_WITNESS_CAP)
     capped = CAPPED_ENGINES[claim](0)
@@ -450,6 +468,70 @@ def test_param_comparability_matches_pair_loop(n, param):
         assert got.entropy_drops == drops
         assert got.entropy_rises == rises
         assert (got.drop_count, got.rise_count) == (drop_count, rise_count)
+
+
+# --- kept census spectra ----------------------------------------------------------
+
+SPECTRAL_ENGINES = [
+    lambda: verify_star_min_von_neumann(7),
+    lambda: verify_renyi_star_min(7, 1.5),
+    lambda: verify_renyi_max(7, 3.0),
+    lambda: coentropy_search(7),
+    lambda: param_comparability(7, "diameter"),
+]
+
+
+def without_runtime(result):
+    if isinstance(result, VerificationResult):
+        return dataclasses.replace(result, runtime=0.0)
+    return result
+
+
+def counting_stacked_solves(monkeypatch):
+    calls = []
+    real = enumeration.density_spectra
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(enumeration, "density_spectra", counted)
+    monkeypatch.setattr(verify, "density_spectra", counted)
+    return calls
+
+
+def test_spectral_engines_share_one_solve_per_block(monkeypatch):
+    alone = []
+    for engine in SPECTRAL_ENGINES:
+        clear_census()
+        alone.append(without_runtime(engine()))
+    clear_census()
+    calls = counting_stacked_solves(monkeypatch)
+    together = [without_runtime(SPECTRAL_ENGINES[0]())]
+    first = list(calls)
+    together += [without_runtime(engine()) for engine in SPECTRAL_ENGINES[1:]]
+    assert together == alone
+    # the first engine solved each block once, over its classes with an edge
+    edged = [int(block.rows.any(axis=1).sum()) for block in census(7)]
+    assert first == edged and len(edged) == 2
+    assert calls == first
+
+
+def test_a_scan_that_raises_keeps_no_spectra(monkeypatch):
+    clear_census()
+    calls = counting_stacked_solves(monkeypatch)
+    real = verify.shannon_entropy
+
+    def fail(vals):
+        raise RuntimeError("consumer failed on the first block")
+
+    monkeypatch.setattr(verify, "shannon_entropy", fail)
+    with pytest.raises(RuntimeError):
+        verify_star_min_von_neumann(7)
+    assert len(calls) == 1 and 7 not in enumeration._CENSUS
+    monkeypatch.setattr(verify, "shannon_entropy", real)
+    verify_star_min_von_neumann(7)  # enumerates and solves afresh
+    assert len(calls) == 3 and 7 in enumeration._CENSUS
 
 
 # --- density test implication ------------------------------------------------------
