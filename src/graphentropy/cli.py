@@ -77,11 +77,12 @@ def _round12(obj):
 
 
 def _parse_order_range(text: str) -> range:
-    """'5' -> range(5, 6); '2..8' -> range(2, 9), built lazily whatever its size."""
+    """'5' -> range(5, 6); '2..8' -> range(2, 9); a range that is empty or not
+    within 2..``CENSUS_MAX`` raises ValueError before one order is listed."""
     lo_s, sep, hi_s = text.partition("..")
     lo, hi = int(lo_s), int(hi_s if sep else lo_s)
-    if lo > hi:
-        raise ValueError(f"empty order range {text!r}")
+    if not 2 <= lo <= hi <= CENSUS_MAX:
+        raise ValueError(f"table1 orders must be a range within 2..{CENSUS_MAX}, got {text!r}")
     return range(lo, hi + 1)
 
 
@@ -164,9 +165,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    orders = _parse_order_range(args.n)
-    if orders[-1] > CENSUS_MAX:  # before the first order is scanned
-        raise ValueError(f"table1 orders must be at most {CENSUS_MAX}, got {orders[-1]}")
+    orders = _parse_order_range(args.n)  # before the sink is opened or an order scanned
     workers = _threads(args)
     rows = []
     # opened before the first scan, so that a path that cannot be written fails at once

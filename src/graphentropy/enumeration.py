@@ -63,17 +63,17 @@ free trees", SIAM J. Comput. 15, 1986); its trees are not in canonical form.
 Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
 replayed on later calls; larger ones, to ``CENSUS_MAX``, stream and are dropped.
-A block solves the density spectra of its classes with an edge on first use
+A block solves the density spectra of its ``edged`` classes on first use
 (``CensusBlock.spectra``) and keeps them as long as it is kept, so the
-spectral engines share one solve per order and process, while the scans that
-read only degrees never solve.
+spectral engines share one solve per kept order and process, while the scans
+that read only degrees never solve.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -548,7 +548,7 @@ def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
 
 
 CENSUS_BLOCK = 1024  # classes per census block
-CENSUS_KEPT = 9  # orders up to this are kept once enumerated; larger ones stream
+CENSUS_KEPT = 8  # orders up to this, the ones a process replays, are kept; larger ones stream
 CENSUS_MAX = 10  # no census above this order: n = 11 has about 10^9 classes
 
 
@@ -557,21 +557,26 @@ class CensusBlock:
     """Consecutive classes of one order, in ``enumerate_graphs`` order.
 
     ``rows[i]`` holds the adjacency bitmasks of class i (one unsigned column
-    per vertex), ``connected[i]`` whether it is connected, and ``graph6[i]``
-    its graph6 word. All three are read-only. ``spectra`` is solved on first
-    use and then lives as long as the block.
+    per vertex), ``connected[i]`` whether it is connected, ``edged[i]``
+    whether it has an edge, and ``graph6[i]`` its graph6 word, all read-only.
+    ``spectra`` is solved on first use and then lives as long as the block.
     """
 
     rows: np.ndarray
     connected: np.ndarray
     graph6: np.ndarray
+    edged: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edged", self.rows.any(axis=1))
+        for arr in (self.rows, self.connected, self.graph6, self.edged):  # shared when kept
+            arr.flags.writeable = False
 
     @cached_property
     def spectra(self) -> np.ndarray:
-        """Read-only density spectra of the block's classes with an edge, in
-        block order, from one stacked ``density_spectra`` solve; row i is
-        bit-identical to ``density_spectrum`` of the i-th such class."""
-        vals = density_spectra(self.rows[self.rows.any(axis=1)])
+        """Read-only density spectra, one row per ``edged`` class in block
+        order, from one stacked solve, bit-identical to ``density_spectrum``."""
+        vals = density_spectra(self.rows[self.edged])
         vals.flags.writeable = False
         return vals
 
@@ -605,8 +610,6 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
                 np.array([is_connected(g) for g in chunk]),
                 np.array([write_graph6(g) for g in chunk]),
             )
-            for arr in (block.rows, block.connected, block.graph6):  # shared when kept
-                arr.flags.writeable = False
             if n <= CENSUS_KEPT:
                 blocks.append(block)
             yield block

@@ -1,11 +1,11 @@
 """Exhaustive verification of the entropy extremal claims at small orders.
 
-Every graph engine folds over the census of one order n (enumerated once per
-process), the tree engine over the tree generator; each checks one claim and
-returns a ``VerificationResult``. The spectral engines read the density
-spectra each census block keeps, so an order's spectra are solved once per
-process too, by the first engine that asks; the engines that read only degrees
-never solve.
+Every graph engine folds over the census of one order n (kept orders are
+enumerated once per process), the tree engine over the tree generator; each
+checks one claim and returns a ``VerificationResult``. The spectral engines
+read the density spectra each census block keeps, so a kept order's spectra
+are solved once per process too, by the first engine that asks; the engines
+that read only degrees never solve.
 Two kinds of claim are treated differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
@@ -152,24 +152,22 @@ class _Extremes:
         return [tag for _, tag in self.ties]
 
 
-def _scan(n: int, workers: int, edged: bool = False) -> Iterator[tuple[CensusBlock, np.ndarray]]:
-    """Each census block with the mask of its connected classes; with
-    ``edged``, of its classes with an edge instead."""
+def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, list[str], CensusBlock]]:
+    """(rows, graph6 words, block) of each census block's connected classes."""
     for block in census(n, workers=workers):
-        yield block, block.rows.any(axis=1) if edged else block.connected
+        yield block.rows[block.connected], block.graph6[block.connected].tolist(), block
 
 
-def _kept_spectra(block: CensusBlock, keep: np.ndarray) -> list[list[float]]:
-    """The density spectra of the classes ``keep`` selects, read from the
-    block's kept ``spectra``. Those hold the classes with an edge, so the mask
-    is read at them; for n >= 2 every connected class has an edge."""
-    return block.spectra[keep[block.rows.any(axis=1)]].tolist()
+def _kept_spectra(block: CensusBlock) -> list[list[float]]:
+    """The kept ``spectra`` rows of the block's connected classes, all
+    ``edged`` for n >= 2."""
+    return block.spectra[block.connected[block.edged]].tolist()
 
 
-def _spectra(n: int, workers: int, edged: bool = False) -> Iterator[tuple[list[float], str]]:
-    """(density spectrum, graph6 word) per class that ``_scan`` keeps."""
-    for block, keep in _scan(n, workers, edged):
-        yield from zip(_kept_spectra(block, keep), block.graph6[keep].tolist())
+def _spectra(n: int, workers: int) -> Iterator[tuple[list[float], str]]:
+    """(density spectrum, graph6 word) per connected class."""
+    for _, words, block in _scan(n, workers):
+        yield from zip(_kept_spectra(block), words)
 
 
 def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
@@ -180,8 +178,8 @@ def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
 
 def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
     """(degree sequence, graph6 word) per connected class."""
-    for block, keep in _scan(n, workers):
-        yield from zip(_degree_sequences(block.rows[keep]), block.graph6[keep].tolist())
+    for rows, words, _ in _scan(n, workers):
+        yield from zip(_degree_sequences(rows), words)
 
 
 def _is_star(d: DegreeSequence) -> bool:
@@ -383,14 +381,15 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     top = _Extremes(biggest=True)
     zero_graphs: list[str] = []
     classes = 0
-    for vals, g6 in _spectra(n, workers, edged=True):
-        classes += 1
-        h = renyi_entropy(vals, alpha)
-        if h > bound + EPS:
-            raise TheoremViolation(f"H_{alpha}({g6}) = {h} exceeds log2({n}-1) = {bound}")
-        top.offer(h, g6)
-        if h <= EPS:
-            zero_graphs.append(g6)
+    for block in census(n, workers=workers):  # the one engine that reads disconnected classes
+        for vals, g6 in zip(block.spectra.tolist(), block.graph6[block.edged].tolist()):
+            classes += 1
+            h = renyi_entropy(vals, alpha)
+            if h > bound + EPS:
+                raise TheoremViolation(f"H_{alpha}({g6}) = {h} exceeds log2({n}-1) = {bound}")
+            top.offer(h, g6)
+            if h <= EPS:
+                zero_graphs.append(g6)
     # zero entropy forces rank-1 Laplacian, i.e. exactly one edge, and the
     # single-edge graph (K2 plus isolates) is one isomorphism class
     if not (len(zero_graphs) == 1 and parse_graph6(zero_graphs[0]).m == 1):
@@ -466,12 +465,8 @@ def edge_add_decrease_search(
     min_bound_margin = math.inf
     graphs = (
         (Graph(n, tuple(adj)), deg, g6)
-        for block, keep in _scan(n, workers)
-        for adj, deg, g6 in zip(
-            block.rows[keep].tolist(),
-            _degree_sequences(block.rows[keep]),
-            block.graph6[keep].tolist(),
-        )
+        for rows, words, _ in _scan(n, workers)
+        for adj, deg, g6 in zip(rows.tolist(), _degree_sequences(rows), words)
     )
     for g, deg, g6 in graphs:
         classes += 1
@@ -609,10 +604,10 @@ def param_comparability(
     ps: list[int] = []
     ss: list[float] = []
     words: list[str] = []
-    for block, keep in _scan(n, workers):
-        ps.extend(f(Graph(n, tuple(adj))) for adj in block.rows[keep].tolist())
-        ss.extend(shannon_entropy(vals) for vals in _kept_spectra(block, keep))
-        words.extend(block.graph6[keep].tolist())
+    for rows, block_words, block in _scan(n, workers):
+        ps.extend(f(Graph(n, tuple(adj))) for adj in rows.tolist())
+        ss.extend(shannon_entropy(vals) for vals in _kept_spectra(block))
+        words.extend(block_words)
     p = np.array(ps, dtype=np.int64)
     s = np.array(ss, dtype=np.float64)
     drop_key = s + EPS  # G2 is a drop partner of G1 when drop_key[G2] < S(G1)

@@ -144,6 +144,19 @@ def test_table1_emit_failing_opens_its_file_before_the_first_scan(capsys, monkey
     assert rc == 1 and out == "" and "error:" in err and str(dest) in err
 
 
+@pytest.mark.parametrize("orders", ["1..3", "3..12"])
+def test_table1_bad_range_leaves_an_existing_emit_file_alone(capsys, monkeypatch, tmp_path, orders):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("table1_row called")
+
+    monkeypatch.setattr(cli, "table1_row", no_scan)
+    dest = tmp_path / "failing.g6"
+    dest.write_bytes(b"kept\n")
+    rc, out, err = run(capsys, "table1", "--n", orders, "--emit-failing", str(dest))
+    assert rc == 1 and out == "" and "error: table1 orders must be a range within 2..10" in err
+    assert dest.read_bytes() == b"kept\n"
+
+
 def test_table1_emit_failing_empty_when_none(capsys, tmp_path):
     dest = tmp_path / "failing.g6"
     rc, _, _ = run(capsys, "table1", "--n", "2", "--emit-failing", str(dest))

@@ -549,15 +549,21 @@ def test_census_spectra_are_kept_read_only_and_bit_identical():
     clear_census()
     for n in range(1, 8):
         for block in census(n):
-            words = block.graph6[block.rows.any(axis=1)].tolist()
+            # edged is the one mask of the classes that own a spectrum row
+            assert np.array_equal(block.edged, block.rows.any(axis=1))
+            assert len(block.spectra) == block.edged.sum()
+            words = block.graph6[block.edged].tolist()
             assert block.spectra.shape == (len(words), n)
             for vals, word in zip(block.spectra, words):
                 want = np.array(density_spectrum(parse_graph6(word)), dtype=np.float64)
                 assert vals.tobytes() == want.tobytes(), word
             with pytest.raises(ValueError):
                 block.spectra[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                block.edged[0] = not block.edged[0]
         # a replay hands out the same blocks, so the spectra are not solved again
         assert all(a.spectra is b.spectra for a, b in zip(census(n), census(n)))
+        assert all(a.edged is b.edged for a, b in zip(census(n), census(n)))
 
 
 def test_census_forgets_spectra_with_its_blocks(monkeypatch):

@@ -152,6 +152,7 @@ def test_tree_stream_fingerprint():
         ("verify renyi-star-min --n 7 --alpha 2", "a786770fc7f59c23"),
         ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
         ("verify coentropy --n 7", "5ab8b2b9266c8aee"),
+        ("verify coentropy --n 8", "08d0f119e2e55fe1"),  # n = 7 has no group
         ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),
         ("verify param-compare --n 7 --param diameter", "d2b7d7a41f112761"),
         ("verify param-compare --n 7 --param max_degree", "218fbd1718986613"),
