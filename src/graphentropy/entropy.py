@@ -35,12 +35,15 @@ _AUGMENT_MAX_SETS = 10**6  # candidate edge sets entropy_augmentation may try
 
 
 def _validated(p: Sequence[float]) -> list[float]:
-    probs = [float(x) for x in p]
+    probs = []
+    for x in p:
+        x = float(x)
+        if x < 0.0:
+            raise ValueError("negative probability")
+        probs.append(x)
     if not probs:
         raise ValueError("empty distribution")
-    if any(x < 0.0 for x in probs):
-        raise ValueError("negative probability")
-    if abs(math.fsum(probs) - 1.0) > DIST_TOL:
+    if not abs(math.fsum(probs) - 1.0) <= DIST_TOL:  # false for NaN too
         raise ValueError("probabilities do not sum to 1")
     return probs
 
@@ -48,7 +51,7 @@ def _validated(p: Sequence[float]) -> list[float]:
 def shannon_entropy(p: Sequence[float]) -> float:
     """Shannon entropy in bits; zero entries contribute nothing."""
     probs = _validated(p)
-    return math.fsum(-x * math.log2(x) for x in probs if x > 0.0) + 0.0
+    return math.fsum([-x * math.log2(x) for x in probs if x > 0.0]) + 0.0
 
 
 def renyi_entropy(p: Sequence[float], alpha: float) -> float:

@@ -11,9 +11,10 @@ rather than noise.
 Where each check runs: ``eigenvalues_symmetric`` checks an arbitrary float
 matrix (square, finite Frobenius norm, symmetric within ``DEFAULT_TOL``
 times the norm, eigenvalue sum equal to the trace). ``density_spectrum``
-runs the same checks in their exact form on the int64 Laplacian, and
-``density_spectra`` runs the row range, loops, symmetry and the trace once
-per stacked block.
+runs the same checks in their exact form on the int64 Laplacian and calls
+the LAPACK gufunc under ``np.linalg.eigvalsh`` directly, so its trace check
+also catches the NaN a failed solve returns. ``density_spectra`` runs the
+row range, loops, symmetry and the trace once per stacked block.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .graphs import Graph, laplacian
 
 DEFAULT_TOL = 1e-12
+_eigvalsh = _umath_linalg.eigvalsh_lo  # the gufunc under np.linalg.eigvalsh, without its wrapper
 
 
 def eigenvalues_symmetric(mat) -> list[float]:
@@ -58,10 +61,15 @@ def density_spectrum(g: Graph) -> tuple[float, ...]:
     The checks of ``eigenvalues_symmetric`` run in exact form: the Frobenius
     norm sqrt(sum d_i^2 + d_G) from the integer degrees must be finite, L
     must equal its transpose, and the eigenvalues must sum to d_G within
-    n*DEFAULT_TOL times the norm. Raises for edgeless graphs, for eigenvalues
-    below ``-DEFAULT_TOL`` (a solver bug, as L is positive semidefinite), and
-    if the cleaned values fail to sum to 1 within n*DEFAULT_TOL or lost the
-    kernel zero.
+    n*DEFAULT_TOL times the norm. L is solved by ``_eigvalsh``, the gufunc
+    that ``np.linalg.eigvalsh`` calls, without that wrapper's coercion and
+    ``errstate``; the gufunc returns NaN where LAPACK did not converge, so a
+    sum that is not finite raises ``LinAlgError`` as the wrapper would.
+    The values are bit-identical to ``np.linalg.eigvalsh``'s.
+
+    Raises for edgeless graphs, for eigenvalues below ``-DEFAULT_TOL`` (a
+    solver bug, as L is positive semidefinite), and if the cleaned values
+    fail to sum to 1 within n*DEFAULT_TOL or lost the kernel zero.
     """
     if g.m == 0:
         raise ValueError("density matrix undefined: graph has no edges")
@@ -72,8 +80,11 @@ def density_spectrum(g: Graph) -> tuple[float, ...]:
     lap = laplacian(g)
     if lap.tobytes() != lap.T.tobytes():
         raise ValueError("Laplacian is not symmetric")
-    w = np.linalg.eigvalsh(lap).tolist()  # ascending; raises LinAlgError on failure
-    if abs(math.fsum(w) - d) > n * DEFAULT_TOL * scale:
+    w = _eigvalsh(lap, signature="d->d").tolist()  # ascending; NaN where LAPACK failed
+    total = math.fsum(w)
+    if not abs(total - d) <= n * DEFAULT_TOL * scale:  # false for NaN too
+        if not math.isfinite(total):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         raise ArithmeticError("eigenvalue sum drifted from the trace")
     vals = []
     for x in reversed(w):

@@ -71,6 +71,20 @@ def test_distribution_validation():
         renyi_entropy([0.5, 0.5], -1.0)
 
 
+def test_nan_probabilities_rejected():
+    # a NaN sum compares false with the tolerance, so it must fail the sum test
+    for call in (
+        lambda: shannon_entropy([math.nan, 1.0]),
+        lambda: renyi_entropy([math.nan, 1.0], 2),
+        lambda: renyi_entropy([math.nan], 0),
+    ):
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            call()
+    # every entry is checked for its sign, those after a NaN too
+    with pytest.raises(ValueError, match="negative probability"):
+        shannon_entropy([math.nan, -0.5, 1.5])
+
+
 def test_renyi_limits_and_special_orders():
     rng = random.Random(10)
     for _ in range(20):

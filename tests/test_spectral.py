@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from graphentropy import spectral
 from graphentropy.graphs import (
     Graph,
     add_edge,
@@ -160,9 +161,9 @@ def test_density_spectrum_bit_identical_to_reference():
         for block in census(n)
         for row in block.rows[block.rows.any(axis=1)].tolist()
     ]
-    for block in census(6):
+    for block in census(7):  # every G+e that edge-add-decrease scans at n = 7
         for row in block.rows.tolist():
-            g = Graph(6, tuple(row))
+            g = Graph(7, tuple(row))
             graphs.extend(add_edge(g, u, v) for u, v in g.non_edges())
     rng = random.Random(15)
     for n in (9, 16, 17, 33, 64):  # row widths of 2, 2, 3, 5 and 8 bytes
@@ -170,6 +171,13 @@ def test_density_spectrum_bit_identical_to_reference():
     for g in graphs:
         got = np.array(density_spectrum(g), dtype=np.float64)
         assert got.tobytes() == reference_spectrum(g).tobytes(), g
+
+
+def test_density_spectrum_reports_a_failed_solve_as_linalgerror(monkeypatch):
+    # LAPACK reports non-convergence as NaN eigenvalues, which fail the trace check
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda a, signature: np.full(len(a), np.nan))
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        density_spectrum(path(4))
 
 
 def test_density_spectrum_checks_the_matrix_symmetry():
