@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -137,16 +138,22 @@ def star_test(d: DegreeSequence, n: int) -> bool:
     into the integer comparison N^(2n-2) * n^n >= D^(2n-2) * (2n-2)^(2n-2)
     with N = d_G^2 and D = sum d_i^2 + d_G. Passing is equivalent to
     H_2(G) >= S(K_{1,n-1}) with no rounding; the n = 2 case is an exact tie
-    and passes.
+    and passes. ``d`` must hold the degrees of all n vertices.
     """
     if n < 2:
         raise ValueError("the star threshold needs n >= 2")
+    if len(d.degrees) != n:
+        raise ValueError(f"star test at order {n} needs {n} degrees, got {len(d.degrees)}")
     if d.d_sum == 0:
         raise ValueError("star test undefined: graph has no edges")
-    big_n = d.d_sum * d.d_sum
-    big_d = d.d_sq_sum + d.d_sum
+    return _star_inequality(n, d.d_sum, d.d_sq_sum)
+
+
+def _star_inequality(n: int, d_sum: int, d_sq_sum: int) -> bool:
+    """``star_test``'s integer inequality, for d_G = ``d_sum`` and the sum of
+    squared degrees ``d_sq_sum``; false from some ``d_sq_sum`` on, for each d_G."""
     e = 2 * n - 2
-    return big_n**e * n**n >= big_d**e * e**e
+    return (d_sum * d_sum) ** e * n**n >= (d_sq_sum + d_sum) ** e * e**e
 
 
 def density_test(n: int, m: int) -> bool:
@@ -158,6 +165,7 @@ def density_test(n: int, m: int) -> bool:
     """
     if n < 2:
         raise ValueError("the density threshold needs n >= 2")
+    m = operator.index(m)  # a float m is no edge count
     if m < 0 or m > math.comb(n, 2):
         raise ValueError(f"impossible edge count {m} for order {n}")
     return m * m * n >= (math.comb(n, 2) + m) ** 2

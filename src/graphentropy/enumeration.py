@@ -50,23 +50,28 @@ child. The automorphisms are those the canonical search knew, its twin
 transpositions and those it found between leaves, carried down the DFS in
 the canonical labeling; they may generate a proper subgroup, so
 the few duplicate children left within one parent are dropped by canonical
-form. In one process, memory stays linear in the recursion depth; under the
-optional process-pool sharding, each shard returns its graphs as one list
-(``_shard_work``), so memory grows with the largest shard. The emission
-order (children sorted by edge count then canonical adjacency rows, within
-their parent) is deterministic, with or without sharding.
+form. The DFS is one preorder walk (``_walk``) that yields every node, so
+each order's classes come out in emission order; it can start from the
+classes of one order, each searched once (``_root``), as a shard and
+``census`` do. In one process,
+memory stays linear in the recursion depth; under the optional process-pool
+sharding, each shard returns its graphs as one list (``_shard_work``), so
+memory grows with the largest shard. The emission order (children sorted by
+edge count then canonical adjacency rows, within their parent) is
+deterministic, with or without sharding.
 
 Trees. ``enumerate_trees`` walks level sequences with the WROM free-tree
 generator (Wright, Richmond, Odlyzko & McKay, "Constant time generation of
 free trees", SIAM J. Comput. 15, 1986); its trees are not in canonical form.
 
 Census. ``census`` hands the order-n stream to the claim engines as numpy
-blocks. Each order up to ``CENSUS_KEPT`` is enumerated once per process and
-replayed on later calls; larger ones, to ``CENSUS_MAX``, stream and are dropped.
-A block solves the density spectra of its ``edged`` classes on first use
-(``CensusBlock.spectra``) and keeps them as long as it is kept, so the
-spectral engines share one solve per kept order and process, while the scans
-that read only degrees never solve.
+blocks. Its walk starts at the deepest order below n already kept, and for n
+up to ``CENSUS_KEPT`` it keeps every order it walked, so each such order is
+walked at most once per process, in any order of calls, and then replayed;
+larger orders, to ``CENSUS_MAX``, stream and are dropped. A block solves the density spectra of
+its ``edged`` classes on first use (``CensusBlock.spectra``) and keeps them as
+long as it is kept, so the spectral engines share one solve per kept order and
+process, while the scans that read only degrees never solve.
 """
 
 from __future__ import annotations
@@ -179,6 +184,7 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
 
 
 Auts = list[tuple[int, ...]]
+Node = tuple[tuple[int, ...], tuple[int, ...], Auts]  # (adjacency, columns, automorphisms)
 
 
 def _canon_search(
@@ -459,24 +465,22 @@ def _attachment_sets(degs: list[int], auts: Auts) -> list[int]:
     return reps
 
 
-def _children(
-    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Auts]]:
+def _children(k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts) -> list[Node]:
     """Accepted, deduplicated children of a canonical representative.
 
-    Returns (new vertex degree, adjacency, columns, automorphisms) for the
-    canonically relabeled children on k+1 vertices, sorted by (m, adjacency).
-    ``auts`` are automorphisms of ``adj``; attachment sets in one orbit under
-    them give isomorphic children with the new vertex fixed (all accepted or
-    all rejected, with one canonical form), so only one set per orbit is
-    tried, and only sets that leave the new vertex of minimum degree
+    Returns (adjacency, columns, automorphisms) for the canonically relabeled
+    children on k+1 vertices, sorted by (m, adjacency). ``auts`` are
+    automorphisms of ``adj``; attachment sets in one orbit under them give
+    isomorphic children with the new vertex fixed (all accepted or all
+    rejected, with one canonical form), so only one set per orbit is tried,
+    and only sets that leave the new vertex of minimum degree
     (``_attachment_sets``). An accepted child's columns, ordering and
     automorphisms are the search ``_accepted`` ran on it.
     """
     nc = k + 1
     # known automorphisms may generate a proper subgroup, and distinct orbits
     # can still give isomorphic children, so duplicates remain possible
-    seen: dict[tuple[int, ...], tuple[int, tuple[int, ...], Auts]] = {}
+    seen: dict[tuple[int, ...], tuple[int, Node]] = {}
     for x in _attachment_sets([a.bit_count() for a in adj], auts):
         child = tuple(adj[v] | (((x >> v) & 1) << k) for v in range(k)) + (x,)
         search = _accepted(nc, child, cols)
@@ -489,21 +493,33 @@ def _children(
                 pos[v] = i
             # the automorphisms again, in the canonical labeling
             relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
-            seen[ccols] = (x.bit_count(), _relabel(nc, child, perm), relabeled)
+            seen[ccols] = (x.bit_count(), (_relabel(nc, child, perm), ccols, relabeled))
     # the new vertex's degree is m less the parent's; distinct columns mean
     # distinct adjacencies, so the sort never compares beyond (m, adjacency)
-    return sorted((d, a, c, au) for c, (d, a, au) in seen.items())
+    return [node for _, node in sorted(seen.values())]
 
 
-def _expand(
-    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts, n: int
-) -> Iterator[tuple[int, ...]]:
-    """DFS from one representative down to order n, yielding adjacencies."""
-    if k == n:
-        yield adj
-        return
-    for _, cadj, ccols, cauts in _children(k, adj, cols, auts):
-        yield from _expand(k + 1, cadj, ccols, cauts, n)
+_K1: Node = ((0,), (0,), [])  # the root of every walk from scratch
+
+
+def _root(adj: tuple[int, ...]) -> Node:
+    """A canonical representative (a kept or shard class) as a walk root,
+    searched once for its columns and automorphisms."""
+    cols, _, auts = _canon_search(len(adj), adj)
+    return adj, cols, auts
+
+
+def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[int, ...]]:
+    """Preorder DFS from ``roots`` (one order's classes, in emission order)
+    down to order n, yielding every node's adjacency; its length is its order."""
+
+    def down(nodes: Iterable[Node]) -> Iterator[tuple[int, ...]]:
+        for adj, cols, auts in nodes:
+            yield adj
+            if len(adj) < n:
+                yield from down(_children(len(adj), adj, cols, auts))
+
+    return down(roots)
 
 
 _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
@@ -511,10 +527,7 @@ _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
 
 def _shard_work(args: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
     adj, n = args
-    k = len(adj)
-    # adj is canonical already, so the automorphisms are in its labeling
-    cols, _, auts = _canon_search(k, adj)
-    return list(_expand(k, adj, cols, auts, n))
+    return [a for a in _walk([_root(adj)], n) if len(a) == n]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
@@ -530,7 +543,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     if workers > 1 and n > _SHARD_DEPTH + 1:
         adjs = _parallel(n, workers)
     else:
-        adjs = _expand(1, (0,), (0,), [], n)  # from K_1, its columns and no automorphism
+        adjs = (adj for adj in _walk([_K1], n) if len(adj) == n)
     for adj in adjs:
         g = Graph(n, adj)
         if not connected_only or is_connected(g):
@@ -540,7 +553,7 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
 def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
     import multiprocessing
 
-    shards = [(adj, n) for adj in _expand(1, (0,), (0,), [], _SHARD_DEPTH)]
+    shards = [(adj, n) for adj in _walk([_K1], _SHARD_DEPTH) if len(adj) == _SHARD_DEPTH]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
         for batch in pool.imap(_shard_work, shards):
@@ -584,16 +597,27 @@ class CensusBlock:
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
 
 
+def _blocks(k: int, adjs: Iterable[tuple[int, ...]]) -> Iterator[CensusBlock]:
+    """The order-k classes ``adjs`` in blocks of ``CENSUS_BLOCK``, each made when filled."""
+    adjs = iter(adjs)
+    while graphs := [Graph(k, adj) for adj in itertools.islice(adjs, CENSUS_BLOCK)]:
+        yield CensusBlock(
+            np.array([g.adj for g in graphs], dtype=np.min_scalar_type((1 << k) - 1)),
+            np.array([is_connected(g) for g in graphs]),
+            np.array([write_graph6(g) for g in graphs]),
+        )
+
+
 def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     """All graphs on n vertices, one per class, in blocks of ``CENSUS_BLOCK``.
 
-    Each block is yielded as soon as it is filled. A stream of order
-    n <= ``CENSUS_KEPT`` that runs to its end is kept, and later calls in the
-    process replay it without enumerating again; a stream stopped early keeps
-    nothing. A kept block keeps its ``spectra`` once any caller has asked for
-    them, so each kept order is also solved at most once per process. Larger
-    orders are enumerated on every call and never kept, spectra included.
-    An order above ``CENSUS_MAX`` raises ValueError before enumerating.
+    Each block is yielded as soon as it is filled. A kept order is replayed.
+    Otherwise one walk starts at the deepest kept order below n (at K_1 if
+    none), and for n <= ``CENSUS_KEPT`` every order it walked is kept once it
+    ends; a stream stopped early keeps nothing. A sharded stream keeps order
+    n only. A kept block keeps its ``spectra`` once asked for. Larger orders
+    are walked on every call and never kept. An order above ``CENSUS_MAX``
+    raises ValueError before enumerating.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
@@ -601,21 +625,33 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     if kept is not None:
         yield from kept
         return
+    keep = n <= CENSUS_KEPT
+    below: dict[int, list[tuple[int, ...]]] = {}  # the classes of the orders walked below n
+    if workers > 1 and n > _SHARD_DEPTH + 1:
+        adjs = _parallel(n, workers)  # the shards hand out order n only
+    else:
+        base = max((k for k in _CENSUS if k < n), default=0)
+        roots = (_root(tuple(a)) for b in _CENSUS[base] for a in b.rows.tolist()) if base else [_K1]
+        adjs = _walk(roots, n)
+        below = {k: [] for k in range(base + 1, n) if keep}
+
+    def order_n() -> Iterator[tuple[int, ...]]:
+        for adj in adjs:
+            if len(adj) == n:
+                yield adj
+            elif len(adj) in below:
+                below[len(adj)].append(adj)
+
     blocks: list[CensusBlock] = []
-    graphs = enumerate_graphs(n, workers=workers)
     try:
-        while chunk := list(itertools.islice(graphs, CENSUS_BLOCK)):
-            block = CensusBlock(
-                np.array([g.adj for g in chunk], dtype=np.min_scalar_type((1 << n) - 1)),
-                np.array([is_connected(g) for g in chunk]),
-                np.array([write_graph6(g) for g in chunk]),
-            )
-            if n <= CENSUS_KEPT:
+        for block in _blocks(n, order_n()):
+            if keep:
                 blocks.append(block)
             yield block
     finally:
-        graphs.close()  # stops the pool of a sharded stream left early
-    if n <= CENSUS_KEPT:
+        adjs.close()  # stops the pool of a sharded stream left early
+    if keep:
+        _CENSUS.update((k, tuple(_blocks(k, classes))) for k, classes in below.items())
         _CENSUS[n] = tuple(blocks)
 
 

@@ -167,6 +167,8 @@ class DegreeSequence:
     ``d_sum`` is 2m (the trace of the Laplacian) and ``d_sq_sum`` is the sum
     of squared degrees. Construction computes both from ``degrees``, the only
     input, because the degree-based entropy formulas use only these.
+    ``degrees`` is stored as Python ints, whatever integer type they came in
+    (a float raises TypeError), so the sums cannot wrap; an odd sum raises.
     """
 
     degrees: tuple[int, ...]
@@ -174,12 +176,17 @@ class DegreeSequence:
     d_sq_sum: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.degrees:
+        degrees = tuple(map(operator.index, self.degrees))
+        if not degrees:
             raise ValueError("degree sequence must be nonempty")
-        if any(d < 0 for d in self.degrees):
+        if any(d < 0 for d in degrees):
             raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "d_sum", sum(self.degrees))
-        object.__setattr__(self, "d_sq_sum", sum(d * d for d in self.degrees))
+        d_sum = sum(degrees)
+        if d_sum % 2:
+            raise ValueError(f"degree sum must be even, got {d_sum}")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "d_sum", d_sum)
+        object.__setattr__(self, "d_sq_sum", sum(d * d for d in degrees))
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:

@@ -1,11 +1,14 @@
 """Exhaustive verification of the entropy extremal claims at small orders.
 
 Every graph engine folds over the census of one order n (kept orders are
-enumerated once per process), the tree engine over the tree generator; each
-checks one claim and returns a ``VerificationResult``. The spectral engines
-read the density spectra each census block keeps, so a kept order's spectra
-are solved once per process too, by the first engine that asks; the engines
-that read only degrees never solve.
+walked once per process, whatever the order of the calls), the tree engine
+over the tree generator; each checks one claim and returns a
+``VerificationResult``. The spectral engines read the density spectra each
+census block keeps, so a kept order's spectra are solved once per process
+too, by the first engine that asks. The engines that read only degrees never
+solve: they read int64 degree sums per block (``_degree_sums``), test them
+against per-m star and density tables, and compare tr2 by int64
+cross-multiplication, making a Fraction only for a value they report.
 Two kinds of claim are treated differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
@@ -24,6 +27,7 @@ reachable through tr2) use exact rationals and no tolerance at all.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -34,16 +38,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .entropy import (
+    _star_inequality,
+    density_test,
     renyi_entropy,
     shannon_entropy,
     star_entropy_closed,
-    star_test,
-    density_test,
-    tr2,
 )
 from .enumeration import CANON_MAX, CensusBlock, canonical_form, census, enumerate_trees
 from .graphs import (
-    DegreeSequence,
     Graph,
     add_edge,
     diameter,
@@ -170,22 +172,49 @@ def _spectra(n: int, workers: int) -> Iterator[tuple[list[float], str]]:
         yield from zip(_kept_spectra(block), words)
 
 
-def _degree_sequences(rows: np.ndarray) -> Iterator[DegreeSequence]:
-    """Degree sequences of stacked adjacency rows, one per row, in Python ints;
-    each row's degrees become a list only when that row is reached."""
-    return (DegreeSequence(tuple(degs.tolist())) for degs in np.bitwise_count(rows))
+def _degree_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (degrees, d_G, sum of squared degrees) of stacked adjacency rows,
+    one entry per row; ``np.bitwise_count`` gives uint8, widened before squaring."""
+    degs = np.bitwise_count(rows).astype(np.int64)
+    return degs, degs.sum(axis=1), (degs * degs).sum(axis=1)
 
 
-def _degrees(n: int, workers: int) -> Iterator[tuple[DegreeSequence, str]]:
-    """(degree sequence, graph6 word) per connected class."""
-    for rows, words, _ in _scan(n, workers):
-        yield from zip(_degree_sequences(rows), words)
+def _is_star(degs: np.ndarray, d_g: np.ndarray) -> np.ndarray:
+    """Which of these connected graphs, by degrees and d_G, is the star K_{1,n-1}."""
+    n = degs.shape[1]
+    return (d_g == 2 * n - 2) & (degs.max(axis=1) == n - 1)
 
 
-def _is_star(d: DegreeSequence) -> bool:
-    """Whether a connected graph with degrees ``d`` is the star K_{1,n-1}."""
-    n = len(d.degrees)
-    return d.d_sum == 2 * n - 2 and max(d.degrees) == n - 1
+def _tr2_at(d_g: np.ndarray, sq: np.ndarray, i: int) -> Fraction:
+    """``tr2`` of class i, (sum d_i^2 + d_G) / d_G^2: a value a scan reports."""
+    return Fraction(int(sq[i] + d_g[i]), int(d_g[i] * d_g[i]))
+
+
+def _offer_tr2(extremes: _Extremes, d_g: np.ndarray, sq: np.ndarray, words: list[str]) -> None:
+    """Offer the block's classes of largest (or, as ``extremes`` asks,
+    smallest) tr2 to an exact tracker, in block order. From the first class,
+    int64 cross-multiplication (products below 10^9 at n <= 16) moves on to
+    the first class past the current one until none is, then finds its ties."""
+    num, den = sq + d_g, d_g * d_g
+    sign = 1 if extremes.biggest else -1
+    i = 0
+    while (past := np.flatnonzero(sign * (num * den[i] - num[i] * den) > 0)).size:
+        i = int(past[0])
+    value = _tr2_at(d_g, sq, i)
+    for j in np.flatnonzero(num * den[i] == num[i] * den).tolist():
+        extremes.offer(value, words[j])
+
+
+def _star_ceilings(n: int) -> np.ndarray:
+    """ceilings[m], m = 0..C(n,2): the largest sum of squared degrees with which
+    m edges on n vertices pass ``star_test`` (-1 if none). Its inequality turns
+    false as the sum grows, which is at most 2m(n-1), so a bisection finds it."""
+    return np.array([
+        bisect.bisect(
+            range(2 * m * (n - 1) + 1), False, key=lambda s: not _star_inequality(n, 2 * m, s)
+        ) - 1
+        for m in range(math.comb(n, 2) + 1)
+    ])
 
 
 def _strict_extreme(extremes: _Extremes, expected: object, message: str) -> None:
@@ -270,21 +299,24 @@ def verify_tree_extremes(
     trees = enumerate_trees(n)
     while block := list(itertools.islice(trees, TREE_BLOCK)):
         adjs = np.array([g.adj for g in block], dtype=np.uint16)
+        if classes == 0 and np.bitwise_count(adjs[0]).max() > 2:
+            raise TheoremViolation(f"the first tree on {n} vertices is not the path")
+        words = [canonical_form(g) for g in block]  # WROM labels are not canonical
         if exact:
-            values = []
-            for d in _degree_sequences(adjs):
-                values.append(tr2(d))
-                if _is_star(d):
-                    star_value = values[-1]
-        else:
-            values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
+            degs, d_g, sq = _degree_sums(adjs)
+            if classes == 0:
+                path_value = _tr2_at(d_g, sq, 0)
+            for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
+                star_value = _tr2_at(d_g, sq, i)
+            _offer_tr2(top, d_g, sq, words)
+            _offer_tr2(bottom, d_g, sq, words)
+            classes += len(block)
+            continue
+        values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
         if classes == 0:
-            if np.bitwise_count(adjs[0]).max() > 2:
-                raise TheoremViolation(f"the first tree on {n} vertices is not the path")
             path_value = values[0]
-        for g, value in zip(block, values):
-            g6 = canonical_form(g)  # WROM labels are not canonical; report canonical words
-            if classes and not exact and value >= path_value - EPS:  # ties or beats the path
+        for value, g6 in zip(values, words):
+            if classes and value >= path_value - EPS:  # ties or beats the path
                 found.add(g6)
             classes += 1
             top.offer(value, g6)
@@ -348,12 +380,12 @@ def verify_renyi_star_min(
     classes = 0
     star_t: Fraction | None = None
     most = _Extremes(biggest=True, eps=0)
-    for d, g6 in _degrees(n, workers):
-        classes += 1
-        t = tr2(d)
-        if _is_star(d):
-            star_t = t
-        most.offer(t, g6)
+    for rows, words, _ in _scan(n, workers):
+        degs, d_g, sq = _degree_sums(rows)
+        classes += len(words)
+        for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
+            star_t = _tr2_at(d_g, sq, i)
+        _offer_tr2(most, d_g, sq, words)
     msg = f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
     _strict_extreme(most, star_t, msg)
     stats = {
@@ -409,15 +441,17 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
 
 def table1_row(n: int, workers: int = 1) -> tuple[int, int, tuple[str, ...]]:
     """(failures, total, failing graph6 list) for the star test over
-    connected graphs on n vertices; decided in exact integer arithmetic."""
+    connected graphs on n vertices; decided in exact integer arithmetic, per
+    block against the per-m ceilings of ``_star_ceilings``."""
     if n < 2:
         raise ValueError("need n >= 2")
+    ceilings = _star_ceilings(n)
     total = 0
     failing: list[str] = []
-    for d, g6 in _degrees(n, workers):
-        total += 1
-        if not star_test(d, n):
-            failing.append(g6)
+    for rows, words, _ in _scan(n, workers):
+        _, d_g, sq = _degree_sums(rows)
+        total += len(words)
+        failing += [words[i] for i in np.flatnonzero(sq > ceilings[d_g // 2]).tolist()]
     return len(failing), total, tuple(failing)
 
 
@@ -464,14 +498,13 @@ def edge_add_decrease_search(
     k2n2_found = False
     min_bound_margin = math.inf
     graphs = (
-        (Graph(n, tuple(adj)), deg, g6)
+        (Graph(n, tuple(adj)), degs, sum(degs), g6)
         for rows, words, _ in _scan(n, workers)
-        for adj, deg, g6 in zip(rows.tolist(), _degree_sequences(rows), words)
+        for adj, degs, g6 in zip(rows.tolist(), _degree_sums(rows)[0].tolist(), words)
     )
-    for g, deg, g6 in graphs:
+    for g, degs, d, g6 in graphs:
         classes += 1
         s_before = shannon_entropy(density_spectrum(g))
-        d, degs = deg.d_sum, deg.degrees
         is_k2n2 = n >= 4 and sorted(degs) == [2] * (n - 2) + [n - 2, n - 2]
         for u, v in g.non_edges():
             h = add_edge(g, u, v)
@@ -644,29 +677,33 @@ def param_comparability(
 def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
     """density_test passing forces star_test passing, on every connected graph.
 
-    Proved implication; a violating graph raises TheoremViolation.
+    Proved implication; a violating graph raises TheoremViolation. Both tests
+    are read per block from per-m tables: ``density_test`` of each m and the
+    star ceilings of ``_star_ceilings``.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     t0 = time.perf_counter()
+    ceilings = _star_ceilings(n)
+    dense_m = np.array([density_test(n, m) for m in range(len(ceilings))])
     classes = 0
     dense = 0
     star_pass = 0
     converse_fails = _Witnesses(10)
-    for d, g6 in _degrees(n, workers):
-        classes += 1
-        d_ok = density_test(n, d.d_sum // 2)
-        s_ok = star_test(d, n)
-        if d_ok:
-            dense += 1
-            if not s_ok:
-                raise TheoremViolation(
-                    f"{g6} passes the density test but fails the star test"
-                )
-        if s_ok:
-            star_pass += 1
-            if not d_ok:
-                converse_fails.add(g6)
+    for rows, words, _ in _scan(n, workers):
+        _, d_g, sq = _degree_sums(rows)
+        classes += len(words)
+        d_ok = dense_m[d_g // 2]
+        s_ok = sq <= ceilings[d_g // 2]
+        bad = np.flatnonzero(d_ok & ~s_ok)
+        if bad.size:
+            raise TheoremViolation(
+                f"{words[bad[0]]} passes the density test but fails the star test"
+            )
+        dense += int(d_ok.sum())
+        star_pass += int(s_ok.sum())
+        for i in np.flatnonzero(s_ok & ~d_ok).tolist():
+            converse_fails.add(words[i])
     stats = {
         "classes": classes,
         "density_pass": dense,

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from graphentropy import cli, entropy, enumeration, verify
@@ -13,7 +14,7 @@ from graphentropy.cli import _run_claim, _threads, main
 from graphentropy.enumeration import clear_census
 from graphentropy.entropy import star_entropy_closed
 from graphentropy.enumeration import canonical_form
-from graphentropy.graphs import degree_sequence, path, star, write_graph6
+from graphentropy.graphs import path, star, write_graph6
 
 
 def run(capsys, *argv):
@@ -290,6 +291,7 @@ def test_verify_rejects_flags_the_claim_does_not_read(capsys, monkeypatch, argv,
     ],
 )
 def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(enumeration, "_walk", None)
     monkeypatch.setattr(enumeration, "enumerate_graphs", None)
     monkeypatch.setattr(verify, "enumerate_trees", None)
     monkeypatch.setattr(cli, "table1_row", None)  # table1 checks its whole range first
@@ -299,10 +301,14 @@ def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
 
 
 def test_verify_theorem_violation_exits_two(capsys, monkeypatch):
-    # a tree with a vertex of degree 4 ties the star's tr2 at n=6
-    real = verify.tr2
-    star_tr2 = real(degree_sequence(star(6)))
-    monkeypatch.setattr(verify, "tr2", lambda d: star_tr2 if max(d.degrees) >= 4 else real(d))
+    # a tree with a vertex of degree 4 scans with the star's squares, so ties its tr2 at n=6
+    real = verify._degree_sums
+
+    def star_squares(rows):
+        degs, d_g, sq = real(rows)
+        return degs, d_g, np.where(degs.max(axis=1) >= 4, 30, sq)
+
+    monkeypatch.setattr(verify, "_degree_sums", star_squares)
     rc, out, err = run(capsys, "verify", "tree-extremes", "--n", "6", "--entropy", "H2")
     assert rc == 2 and out == ""
     assert err == (

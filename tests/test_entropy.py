@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphentropy import entropy
@@ -263,6 +264,19 @@ def test_star_test_agrees_with_float_rule():
             exact = star_test(d, n)
             approx = h2_degree(d) >= threshold - 1e-9
             assert exact == approx
+
+
+def test_star_test_needs_the_degrees_of_every_vertex():
+    k3 = degree_sequence(complete(3))
+    assert star_test(k3, 3)
+    with pytest.raises(ValueError, match="needs 10 degrees, got 3"):
+        star_test(k3, 10)
+
+
+def test_density_test_rejects_a_fractional_edge_count():
+    with pytest.raises(TypeError):
+        density_test(5, 2.5)
+    assert density_test(4, np.int64(6))
 
 
 def test_density_test_known_values():

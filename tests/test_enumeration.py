@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -510,14 +511,15 @@ def test_census_matches_enumeration_stream(workers):
 
 
 def counting_enumerator(monkeypatch):
+    # counts walks of the augmentation tree, which census makes itself
     calls = []
-    real = enumeration.enumerate_graphs
+    real = enumeration._walk
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "enumerate_graphs", counted)
+    monkeypatch.setattr(enumeration, "_walk", counted)
     return calls
 
 
@@ -543,6 +545,44 @@ def test_census_stopped_midstream_keeps_nothing(monkeypatch):
     assert 7 not in enumeration._CENSUS
     census_stream(7)
     assert len(calls) == 3 and 7 in enumeration._CENSUS
+
+
+def census_digest():
+    # the blocks of orders 2..8, byte for byte: row dtype, rows, connected, words
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        for block in census(n):
+            digest.update(block.rows.dtype.str.encode() + block.rows.tobytes())
+            digest.update(block.connected.tobytes())
+            digest.update("".join(w + "\n" for w in block.graph6.tolist()).encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [range(2, 9), range(8, 1, -1), [3, 5, 7, 4, 8, 2, 6]],
+    ids=["ascending", "descending", "shuffled"],
+)
+def test_census_walks_each_parent_once_in_any_call_order(monkeypatch, orders):
+    # each call walks on from the deepest kept order below it, so no parent is
+    # expanded twice; the digest was recorded on the code that enumerated each
+    # order from K_1 on its own
+    expanded = []
+    children = enumeration._children
+
+    def recording(k, adj, cols, auts):
+        expanded.append(adj)
+        return children(k, adj, cols, auts)
+
+    monkeypatch.setattr(enumeration, "_children", recording)
+    clear_census()
+    for n in orders:
+        for _ in census(n):
+            pass
+    assert len(set(expanded)) == len(expanded) == sum(ALL_COUNTS.values())
+    monkeypatch.undo()
+    assert sorted(enumeration._CENSUS) == list(range(1, 9))  # the first walk keeps K_1 too
+    assert census_digest() == "01781011a6d0e950"
 
 
 def test_census_spectra_are_kept_read_only_and_bit_identical():
@@ -580,7 +620,8 @@ def test_census_forgets_spectra_with_its_blocks(monkeypatch):
 
 
 def test_census_rejects_orders_above_the_bound(monkeypatch):
-    # the bound is checked before enumerate_graphs is even called
+    # the bound is checked before any walk or enumeration starts
+    monkeypatch.setattr(enumeration, "_walk", None)
     monkeypatch.setattr(enumeration, "enumerate_graphs", None)
     with pytest.raises(ValueError, match="at most 10"):
         next(census(enumeration.CENSUS_MAX + 1))
@@ -592,6 +633,18 @@ def test_census_streams_orders_above_the_kept_limit(monkeypatch):
     calls = counting_enumerator(monkeypatch)
     assert census_stream(6) == census_stream(6)
     assert len(calls) == 2 and 6 not in enumeration._CENSUS
+
+
+def test_census_streams_past_the_kept_limit_from_the_deepest_kept_order(monkeypatch):
+    monkeypatch.setattr(enumeration, "CENSUS_KEPT", 5)
+    clear_census()
+    census_stream(4)
+    want = [(g.adj, is_connected(g), write_graph6(g)) for g in enumerate_graphs(7)]
+    roots = []
+    root = enumeration._root
+    monkeypatch.setattr(enumeration, "_root", lambda adj: roots.append(adj) or root(adj))
+    assert census_stream(7) == want
+    assert len(roots) == ALL_COUNTS[4] and sorted(enumeration._CENSUS) == [1, 2, 3, 4]
 
 
 # --- trees -----------------------------------------------------------------------

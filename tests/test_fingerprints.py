@@ -150,6 +150,7 @@ def test_tree_stream_fingerprint():
         ("verify star-min-S --n 7", "dd6fb32b7d665a13"),
         ("verify renyi-star-min --n 7 --alpha 1.5", "501e4c91ec3a3a1f"),
         ("verify renyi-star-min --n 7 --alpha 2", "a786770fc7f59c23"),
+        ("verify renyi-star-min --n 8 --alpha 2", "4175d2c6587c3634"),
         ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
         ("verify coentropy --n 7", "5ab8b2b9266c8aee"),
         ("verify coentropy --n 8", "08d0f119e2e55fe1"),  # n = 7 has no group
@@ -157,8 +158,10 @@ def test_tree_stream_fingerprint():
         ("verify param-compare --n 7 --param diameter", "d2b7d7a41f112761"),
         ("verify param-compare --n 7 --param max_degree", "218fbd1718986613"),
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
+        ("verify density-implies-star --n 8", "5bc5f297976b397b"),
         ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
         ("table1 --n 2..7", "28ca38400e1d8b2f"),
+        ("table1 --n 2..8", "2817e134d530943d"),
         ("verify tree-extremes --n 12", "61391221a06dc97d"),
         ("verify tree-extremes --n 12 --entropy H2", "7b85df74914ab011"),
         ("verify tree-extremes --n 15", "0efaa4f22eb59990"),

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from graphentropy.graphs import (
     write_graph6,
     _bit_vertices,
 )
+from graphentropy.entropy import tr2
 from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
 
 from _oracles import (
@@ -230,6 +232,21 @@ def test_degree_sequence():
         DegreeSequence(())
     with pytest.raises(ValueError):
         DegreeSequence((1, -1))
+
+
+def test_degree_sequence_stores_python_ints_with_an_even_sum():
+    # a float is no degree, numpy ints are widened before the sums, and the
+    # handshake lemma rules out an odd sum
+    with pytest.raises(TypeError):
+        DegreeSequence((1.5, 0.5))
+    wide = DegreeSequence(tuple(np.array([200, 200], dtype=np.uint8)))
+    assert wide.degrees == (200, 200) and all(type(d) is int for d in wide.degrees)
+    assert wide.d_sum == 400 and wide.d_sq_sum == 80000
+    assert tr2(wide) == Fraction(80400, 400 * 400)
+    with pytest.raises(ValueError, match="even"):
+        DegreeSequence((1, 0))
+    with pytest.raises(ValueError, match="even"):
+        DegreeSequence((3, 2, 2))
 
 
 def test_laplacian():

@@ -1,12 +1,17 @@
 import dataclasses
+import importlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from graphentropy.entropy import renyi_entropy, star_entropy_closed, von_neumann_entropy
+import graphentropy
+from graphentropy.entropy import renyi_entropy, star_entropy_closed, star_test, von_neumann_entropy
 from graphentropy import enumeration
 from graphentropy.enumeration import (
     CANON_MAX,
@@ -19,7 +24,6 @@ from graphentropy.enumeration import (
 from graphentropy.graphs import (
     add_edge,
     complete,
-    degree_sequence,
     diameter,
     is_connected,
     laplacian,
@@ -95,6 +99,32 @@ def test_failing_graph_properties_reports_leaves():
             assert rep["all_have_leaf"]
 
 
+def test_star_ceilings_agree_with_star_test():
+    # every (m, sum of squared degrees) that a graph of order n <= 10 could
+    # have: star_test reads nothing else, so a stand-in with those sums asks it
+    for n in range(2, 11):
+        ceilings = verify._star_ceilings(n)
+        assert len(ceilings) == math.comb(n, 2) + 1
+        for m in range(1, math.comb(n, 2) + 1):
+            for sq in range(2 * m * (n - 1) + 1):
+                d = SimpleNamespace(degrees=(0,) * n, d_sum=2 * m, d_sq_sum=sq)
+                assert (sq <= ceilings[m]) == star_test(d, n), (n, m, sq)
+
+
+def test_session_calls_give_the_same_summaries_in_any_order(monkeypatch):
+    # the benchmark's session-8 library calls in three shuffled orders, each
+    # from an empty census: whichever call walks an order first, every
+    # summary is the one the benchmark checks
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench = importlib.import_module("run")
+    child = importlib.import_module("child")
+    rng = random.Random(21)
+    for _ in range(3):
+        clear_census()
+        for name, args, want in rng.sample(bench.SESSION_CALLS, len(bench.SESSION_CALLS)):
+            assert child.summarize(getattr(graphentropy, name)(*args)) == want, (name, args)
+
+
 # --- star minimality scans --------------------------------------------------
 
 
@@ -165,36 +195,42 @@ def test_tree_extremes_path_maximizes_shannon():
         assert canon_g6(star(n)) in res.stats["min_graphs"]
 
 
-def _tie_tr2(monkeypatch, value, ties):
-    """Patch verify.tr2 to give ``value`` to every degree sequence ``ties`` picks."""
-    real = verify.tr2
-    monkeypatch.setattr(verify, "tr2", lambda d: value if ties(d) else real(d))
+def _override_degree_sums(monkeypatch, picks, d_g, sq):
+    """Patch verify._degree_sums: every class whose degree row ``picks`` selects
+    scans with this d_G and sum of squared degrees, and so with their tr2."""
+    real = verify._degree_sums
+
+    def overridden(rows):
+        degs, real_d_g, real_sq = real(rows)
+        picked = np.array([picks(row) for row in degs.tolist()], dtype=bool)
+        return degs, np.where(picked, d_g, real_d_g), np.where(picked, sq, real_sq)
+
+    monkeypatch.setattr(verify, "_degree_sums", overridden)
 
 
 def test_tree_extremes_h2_raises_unless_star_and_path_are_strict(monkeypatch):
-    star_tr2 = verify.tr2(degree_sequence(star(6)))
-    path_tr2 = verify.tr2(degree_sequence(path(6)))
-    _tie_tr2(monkeypatch, star_tr2, lambda d: max(d.degrees) >= 4)
+    # at n = 6 every tree has d_G = 10; the star's squares sum to 30, the path's to 18
+    _override_degree_sums(monkeypatch, lambda degs: max(degs) >= 4, 10, 30)
     with pytest.raises(TheoremViolation) as exc:
         verify_tree_extremes(6, entropy="H2")
     assert str(exc.value) == "star is not the unique H_2 minimizer among trees on 6 vertices"
     monkeypatch.undo()
-    _tie_tr2(monkeypatch, path_tr2, lambda d: max(d.degrees) <= 3)
+    _override_degree_sums(monkeypatch, lambda degs: max(degs) <= 3, 10, 18)
     with pytest.raises(TheoremViolation) as exc:
         verify_tree_extremes(6, entropy="H2")
     assert str(exc.value) == "path is not the unique H_2 maximizer among trees on 6 vertices"
 
 
 @pytest.mark.parametrize(
-    "value, ties",
+    "picks, d_g, sq",
     [
-        (verify.tr2(degree_sequence(star(5))), lambda d: max(d.degrees) == 4),  # a tie
-        (Fraction(1), lambda d: d.d_sum == 20),  # K5 beats the star
+        (lambda degs: max(degs) == 4, 8, 20),  # a tie: the star's d_G and squares at n = 5
+        (lambda degs: sum(degs) == 20, 2, 2),  # K5 beats the star with tr2 = 1
     ],
     ids=["tie", "beaten"],
 )
-def test_renyi_star_min_alpha2_raises_unless_star_is_strict(monkeypatch, value, ties):
-    _tie_tr2(monkeypatch, value, ties)
+def test_renyi_star_min_alpha2_raises_unless_star_is_strict(monkeypatch, picks, d_g, sq):
+    _override_degree_sums(monkeypatch, picks, d_g, sq)
     with pytest.raises(TheoremViolation) as exc:
         verify_renyi_star_min(5, 2.0)
     assert str(exc.value) == (
