@@ -29,7 +29,10 @@ prefix's mask lies inside its fixed-point mask), which keeps highly
 symmetric graphs (complete, complete bipartite) from exploding. A forest
 follows its first branch only (see ``_forest_ordering``); for other graphs
 the search is exact but exponential in the worst case. Both serve the orders
-this package works at (n <= 16).
+this package works at (n <= 16). When the first refinement is already
+discrete (4759 of the 15880 searches that generate n = 8), its ordering is
+the only leaf and the only automorphism is the identity, so the search
+returns it at once.
 
 Generation. Canonical augmentation: a graph on k+1 vertices is produced from
 its parent on k vertices by deleting one vertex; fixing, per isomorphism
@@ -48,14 +51,15 @@ vertices still need a deletion search (one per orbit, none in the new
 vertex's orbit; see ``_accepted``), and the same search relabels an accepted
 child. The automorphisms are those the canonical search knew, its twin
 transpositions and those it found between leaves, carried down the DFS in
-the canonical labeling; they may generate a proper subgroup, so
-the few duplicate children left within one parent are dropped by canonical
-form. The DFS is one preorder walk (``_walk``) that yields every node, so
+the canonical labeling, and relabeled only for the children the walk will
+expand; they may generate a proper subgroup, so the few duplicate children
+left within one parent are dropped by canonical form. The DFS is one
+preorder walk (``_walk``) that yields every node's adjacency and columns, so
 each order's classes come out in emission order; it can start from the
 classes of one order, each searched once (``_root``), as a shard and
-``census`` do. In one process,
-memory stays linear in the recursion depth; under the optional process-pool
-sharding, each shard returns its graphs as one list (``_shard_work``), so
+``census`` do. In one process, memory stays linear in the recursion depth;
+under the optional process-pool sharding, each shard returns its classes as
+one array of rows and one string of graph6 words (``_shard_work``), so
 memory grows with the largest shard. The emission order (children sorted by
 edge count then canonical adjacency rows, within their parent) is
 deterministic, with or without sharding.
@@ -68,7 +72,11 @@ Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Its walk starts at the deepest order below n already kept, and for n
 up to ``CENSUS_KEPT`` it keeps every order it walked, so each such order is
 walked at most once per process, in any order of calls, and then replayed;
-larger orders, to ``CENSUS_MAX``, stream and are dropped. A block solves the density spectra of
+larger orders, to ``CENSUS_MAX``, stream and are dropped. No ``Graph`` is
+built per class: a class's graph6 word is packed from the columns its
+canonical search returned (``_word``), and a ``CensusBlock`` checks its rows
+once, by the stacked rule ``density_spectra`` applies, and derives
+``connected`` and ``edged`` from them. A block solves the density spectra of
 its ``edged`` classes on first use (``CensusBlock.spectra``) and keeps them as
 long as it is kept, so the spectral engines share one solve per kept order and
 process, while the scans that read only degrees never solve.
@@ -91,10 +99,10 @@ from .graphs import (
     _check_order,
     _graph6_body,
     _graph6_bytes,
+    _row_bits,
     component_count,
     is_connected,
     parse_graph6,
-    write_graph6,
 )
 from .spectral import density_spectra
 
@@ -185,6 +193,7 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
 
 Auts = list[tuple[int, ...]]
 Node = tuple[tuple[int, ...], tuple[int, ...], Auts]  # (adjacency, columns, automorphisms)
+Class = tuple[tuple[int, ...], str]  # (adjacency, graph6 word) of a canonical class
 
 
 def _canon_search(
@@ -205,9 +214,24 @@ def _canon_search(
     sibling's under an automorphism fixing the prefix, so the columns and
     the ordering (the first smallest leaf in DFS order) are those of the
     search without pruning.
+
+    When the first refinement is discrete, its one ordering is the only
+    leaf: its columns and ordering come back with no automorphisms, and the
+    twin scan and the search are skipped (twins share every cell of an
+    equitable partition, so a discrete one has none, and it is mapped to
+    itself by every automorphism, so the identity is the only one).
     """
-    if n == 1:
-        return (0,), (0,), []
+    root = _refine(adj, [(1 << n) - 1], (0,))
+    if len(root) == n:
+        perm = [cell.bit_length() - 1 for cell in root]
+        cols = []
+        for j, v in enumerate(perm):
+            av = adj[v]
+            col = 0
+            for u in perm[:j]:
+                col = (col << 1) | ((av >> u) & 1)
+            cols.append(col)
+        return tuple(cols), tuple(perm), []
     best_cols = [_INF] * n
     best_perm: list[int] | None = None
     auts: Auts = []
@@ -288,7 +312,7 @@ def _canon_search(
                     done = _orbits(done | {v}, stable)
         del prefix[len(prefix) - added:]
 
-    search(_refine(adj, [(1 << n) - 1], (0,)))
+    search(root)
     assert best_perm is not None
     return tuple(best_cols), tuple(best_perm), auts
 
@@ -465,7 +489,9 @@ def _attachment_sets(degs: list[int], auts: Auts) -> list[int]:
     return reps
 
 
-def _children(k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts) -> list[Node]:
+def _children(
+    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts, expand: bool
+) -> list[Node]:
     """Accepted, deduplicated children of a canonical representative.
 
     Returns (adjacency, columns, automorphisms) for the canonically relabeled
@@ -475,7 +501,9 @@ def _children(k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts) -
     rejected, with one canonical form), so only one set per orbit is tried,
     and only sets that leave the new vertex of minimum degree
     (``_attachment_sets``). An accepted child's columns, ordering and
-    automorphisms are the search ``_accepted`` ran on it.
+    automorphisms are the search ``_accepted`` ran on it. The automorphisms
+    are relabeled into the canonical labeling only if the walk will
+    ``expand`` the children; otherwise the children carry none.
     """
     nc = k + 1
     # known automorphisms may generate a proper subgroup, and distinct orbits
@@ -488,11 +516,13 @@ def _children(k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts) -
             continue
         ccols, perm, cauts = search
         if ccols not in seen:
-            pos = [0] * nc
-            for i, v in enumerate(perm):
-                pos[v] = i
-            # the automorphisms again, in the canonical labeling
-            relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
+            relabeled: Auts = []
+            if expand and cauts:
+                pos = [0] * nc
+                for i, v in enumerate(perm):
+                    pos[v] = i
+                # the automorphisms again, in the canonical labeling
+                relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
             seen[ccols] = (x.bit_count(), (_relabel(nc, child, perm), ccols, relabeled))
     # the new vertex's degree is m less the parent's; distinct columns mean
     # distinct adjacencies, so the sort never compares beyond (m, adjacency)
@@ -509,25 +539,42 @@ def _root(adj: tuple[int, ...]) -> Node:
     return adj, cols, auts
 
 
-def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[int, ...]]:
+def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Preorder DFS from ``roots`` (one order's classes, in emission order)
-    down to order n, yielding every node's adjacency; its length is its order."""
+    down to order n, yielding every node's (adjacency, columns); the length
+    is the order. Nodes of order n are not expanded, so the children made at
+    order n carry no automorphisms (``_children``'s ``expand``)."""
 
-    def down(nodes: Iterable[Node]) -> Iterator[tuple[int, ...]]:
+    def down(nodes: Iterable[Node]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         for adj, cols, auts in nodes:
-            yield adj
-            if len(adj) < n:
-                yield from down(_children(len(adj), adj, cols, auts))
+            yield adj, cols
+            k = len(adj)
+            if k < n:
+                yield from down(_children(k, adj, cols, auts, k + 1 < n))
 
     return down(roots)
+
+
+def _word(cols: tuple[int, ...]) -> str:
+    """The graph6 word of a canonical class from its search's columns: columns
+    1..k-1 concatenated are the graph6 body."""
+    body = 0
+    for j in range(1, len(cols)):
+        body = (body << j) | cols[j]
+    return _graph6_bytes(len(cols), body).decode("ascii")
 
 
 _SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
 
 
-def _shard_work(args: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+def _shard_work(args: tuple[tuple[int, ...], int]) -> tuple[np.ndarray, str]:
+    """The order-n classes below one order-``_SHARD_DEPTH`` class, walked in a
+    worker: their rows as one array and their graph6 words joined by
+    newlines, a compact form to ship back (no column tuples)."""
     adj, n = args
-    return [a for a in _walk([_root(adj)], n) if len(a) == n]
+    nodes = [(a, cols) for a, cols in _walk([_root(adj)], n) if len(a) == n]
+    rows = np.array([a for a, _ in nodes], dtype=np.min_scalar_type((1 << n) - 1))
+    return rows, "\n".join([_word(cols) for _, cols in nodes])
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
@@ -541,23 +588,25 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     """
     _check_order(n)
     if workers > 1 and n > _SHARD_DEPTH + 1:
-        adjs = _parallel(n, workers)
+        adjs = (adj for adj, _ in _parallel(n, workers))
     else:
-        adjs = (adj for adj in _walk([_K1], n) if len(adj) == n)
+        adjs = (adj for adj, _ in _walk([_K1], n) if len(adj) == n)
     for adj in adjs:
         g = Graph(n, adj)
         if not connected_only or is_connected(g):
             yield g
 
 
-def _parallel(n: int, workers: int) -> Iterator[tuple[int, ...]]:
+def _parallel(n: int, workers: int) -> Iterator[Class]:
+    """The order-n classes as (adjacency, graph6 word), walked by ``workers``
+    processes, one shard per order-``_SHARD_DEPTH`` class, in emission order."""
     import multiprocessing
 
-    shards = [(adj, n) for adj in _walk([_K1], _SHARD_DEPTH) if len(adj) == _SHARD_DEPTH]
+    shards = [(adj, n) for adj, _ in _walk([_K1], _SHARD_DEPTH) if len(adj) == _SHARD_DEPTH]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
-        for batch in pool.imap(_shard_work, shards):
-            yield from batch
+        for rows, words in pool.imap(_shard_work, shards):
+            yield from zip(map(tuple, rows.tolist()), words.split("\n"))
 
 
 CENSUS_BLOCK = 1024  # classes per census block
@@ -570,18 +619,30 @@ class CensusBlock:
     """Consecutive classes of one order, in ``enumerate_graphs`` order.
 
     ``rows[i]`` holds the adjacency bitmasks of class i (one unsigned column
-    per vertex), ``connected[i]`` whether it is connected, ``edged[i]``
-    whether it has an edge, and ``graph6[i]`` its graph6 word, all read-only.
-    ``spectra`` is solved on first use and then lives as long as the block.
+    per vertex) and ``graph6[i]`` its graph6 word. The rows are checked once
+    for the whole block, by the rule ``density_spectra`` applies
+    (``graphs._row_bits``: no bit at a column >= n, no loop, no asymmetric
+    pair, else ValueError), and ``connected[i]``, whether class i is
+    connected, and ``edged[i]``, whether it has an edge, are derived from
+    them. All four arrays are read-only. ``spectra`` is solved on first use
+    and then lives as long as the block.
     """
 
     rows: np.ndarray
-    connected: np.ndarray
     graph6: np.ndarray
+    connected: np.ndarray = field(init=False)
     edged: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edged", self.rows.any(axis=1))
+        rows = self.rows
+        n = rows.shape[1]
+        _row_bits(rows)
+        reach = rows[:, 0] | 1  # per class, the mask of vertex 0 and its neighbours
+        shifts = np.arange(n, dtype=rows.dtype)
+        for _ in range(n - 2):  # a shortest path from vertex 0 has at most n - 1 edges
+            reach = reach | np.bitwise_or.reduce(rows * ((reach[:, None] >> shifts) & 1), axis=1)
+        object.__setattr__(self, "connected", reach == (1 << n) - 1)
+        object.__setattr__(self, "edged", rows.any(axis=1))
         for arr in (self.rows, self.connected, self.graph6, self.edged):  # shared when kept
             arr.flags.writeable = False
 
@@ -597,15 +658,14 @@ class CensusBlock:
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
 
 
-def _blocks(k: int, adjs: Iterable[tuple[int, ...]]) -> Iterator[CensusBlock]:
-    """The order-k classes ``adjs`` in blocks of ``CENSUS_BLOCK``, each made when filled."""
-    adjs = iter(adjs)
-    while graphs := [Graph(k, adj) for adj in itertools.islice(adjs, CENSUS_BLOCK)]:
-        yield CensusBlock(
-            np.array([g.adj for g in graphs], dtype=np.min_scalar_type((1 << k) - 1)),
-            np.array([is_connected(g) for g in graphs]),
-            np.array([write_graph6(g) for g in graphs]),
-        )
+def _blocks(k: int, classes: Iterable[Class]) -> Iterator[CensusBlock]:
+    """The order-k ``classes``, (adjacency, graph6 word) pairs, in blocks of
+    ``CENSUS_BLOCK``, each made when filled; no ``Graph`` is built."""
+    classes = iter(classes)
+    dtype = np.min_scalar_type((1 << k) - 1)
+    while chunk := list(itertools.islice(classes, CENSUS_BLOCK)):
+        adjs, words = zip(*chunk)
+        yield CensusBlock(np.array(adjs, dtype=dtype), np.array(words))
 
 
 def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
@@ -616,42 +676,46 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     none), and for n <= ``CENSUS_KEPT`` every order it walked is kept once it
     ends; a stream stopped early keeps nothing. A sharded stream keeps order
     n only. A kept block keeps its ``spectra`` once asked for. Larger orders
-    are walked on every call and never kept. An order above ``CENSUS_MAX``
-    raises ValueError before enumerating.
+    are walked on every call and never kept. Each class's graph6 word is
+    packed from the columns its canonical search returned (``_word``). An
+    order above ``CENSUS_MAX`` or below 1 raises ValueError before anything
+    is walked or kept.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
+    _check_order(n)
     kept = _CENSUS.get(n)
     if kept is not None:
         yield from kept
         return
     keep = n <= CENSUS_KEPT
-    below: dict[int, list[tuple[int, ...]]] = {}  # the classes of the orders walked below n
+    below: dict[int, list[Class]] = {}  # the orders walked below n
     if workers > 1 and n > _SHARD_DEPTH + 1:
-        adjs = _parallel(n, workers)  # the shards hand out order n only
+        classes = _parallel(n, workers)  # the shards hand out order n only
     else:
         base = max((k for k in _CENSUS if k < n), default=0)
         roots = (_root(tuple(a)) for b in _CENSUS[base] for a in b.rows.tolist()) if base else [_K1]
-        adjs = _walk(roots, n)
         below = {k: [] for k in range(base + 1, n) if keep}
 
-    def order_n() -> Iterator[tuple[int, ...]]:
-        for adj in adjs:
-            if len(adj) == n:
-                yield adj
-            elif len(adj) in below:
-                below[len(adj)].append(adj)
+        def order_n(nodes: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]) -> Iterator[Class]:
+            for adj, cols in nodes:
+                if len(adj) == n:
+                    yield adj, _word(cols)
+                elif len(adj) in below:
+                    below[len(adj)].append((adj, _word(cols)))
+
+        classes = order_n(_walk(roots, n))
 
     blocks: list[CensusBlock] = []
     try:
-        for block in _blocks(n, order_n()):
+        for block in _blocks(n, classes):
             if keep:
                 blocks.append(block)
             yield block
     finally:
-        adjs.close()  # stops the pool of a sharded stream left early
+        classes.close()  # stops the pool of a sharded stream left early
     if keep:
-        _CENSUS.update((k, tuple(_blocks(k, classes))) for k, classes in below.items())
+        _CENSUS.update((k, tuple(_blocks(k, pairs))) for k, pairs in below.items())
         _CENSUS[n] = tuple(blocks)
 
 

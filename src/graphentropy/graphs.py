@@ -301,6 +301,22 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap if w == n else np.ascontiguousarray(lap[:, :n])
 
 
+def _row_bits(rows: np.ndarray) -> np.ndarray:
+    """The (B, n, n) adjacency bits of a (B, n) array of stacked rows, after
+    ``Graph``'s checks made once for the whole stack: a bit at a column >= n
+    (a negative row too), a loop or an asymmetric pair raises ValueError.
+    ``density_spectra`` and ``CensusBlock`` check their rows here."""
+    n = rows.shape[1]
+    if np.any(rows >> n):
+        raise ValueError("an adjacency row references vertices >= n")
+    bits = (rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1
+    if bits.diagonal(axis1=1, axis2=2).any():
+        raise ValueError("an adjacency row has a loop")
+    if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+        raise ValueError("Laplacian is not symmetric")
+    return bits
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component."""
     return component_count(g) == 1

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .graphs import Graph, laplacian
+from .graphs import Graph, _row_bits, laplacian
 
 DEFAULT_TOL = 1e-12
 _eigvalsh = _umath_linalg.eigvalsh_lo  # the gufunc under np.linalg.eigvalsh, without its wrapper
@@ -106,18 +106,12 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
     census block's ``rows``). Returns a (B, n) array whose row i equals
     ``density_spectrum`` of graph i, bit for bit, with the same tolerance
     policy and errors. Rows that ``Graph`` would reject (a bit at a column
-    >= n, a loop, an asymmetric pair) raise ValueError. The Laplacian's
-    off-diagonal zeros must be +0.0: with -0.0 the stacked eigensolve drifts
-    in the last bits.
+    >= n, a loop, an asymmetric pair) raise ValueError (``_row_bits``). The
+    Laplacian's off-diagonal zeros must be +0.0: with -0.0 the stacked
+    eigensolve drifts in the last bits.
     """
     n = rows.shape[1]
-    if np.any(rows >> n):  # negative rows too, as ``Graph`` rejects them
-        raise ValueError("an adjacency row references vertices >= n")
-    bits = (rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1
-    if bits.diagonal(axis1=1, axis2=2).any():
-        raise ValueError("an adjacency row has a loop")
-    if not np.array_equal(bits, bits.transpose(0, 2, 1)):
-        raise ValueError("Laplacian is not symmetric")
+    bits = _row_bits(rows)
     lap = np.where(bits != 0, -1.0, 0.0)
     degrees = bits.sum(axis=2)
     lap[:, range(n), range(n)] = degrees

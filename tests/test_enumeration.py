@@ -398,9 +398,9 @@ def test_attachment_sets_match_reference_on_generation_parents(monkeypatch):
     parents = []
     children = enumeration._children
 
-    def recording(k, adj, cols, auts):
+    def recording(k, adj, cols, auts, expand):
         parents.append((adj, auts))
-        return children(k, adj, cols, auts) if k < 7 else []
+        return children(k, adj, cols, auts, expand) if k < 7 else []
 
     monkeypatch.setattr(enumeration, "_children", recording)
     assert sum(1 for _ in enumerate_graphs(8)) == 0
@@ -570,9 +570,9 @@ def test_census_walks_each_parent_once_in_any_call_order(monkeypatch, orders):
     expanded = []
     children = enumeration._children
 
-    def recording(k, adj, cols, auts):
+    def recording(k, adj, cols, auts, expand):
         expanded.append(adj)
-        return children(k, adj, cols, auts)
+        return children(k, adj, cols, auts, expand)
 
     monkeypatch.setattr(enumeration, "_children", recording)
     clear_census()
@@ -625,6 +625,46 @@ def test_census_rejects_orders_above_the_bound(monkeypatch):
     monkeypatch.setattr(enumeration, "enumerate_graphs", None)
     with pytest.raises(ValueError, match="at most 10"):
         next(census(enumeration.CENSUS_MAX + 1))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_census_rejects_orders_below_one_and_keeps_nothing(n):
+    # a kept empty order below 1 would be the deepest kept order under every
+    # later call, and every later walk would start from it and yield nothing
+    clear_census()
+    with pytest.raises(ValueError, match="graph order must be in 1..64"):
+        next(census(n))
+    assert enumeration._CENSUS == {}
+    assert sum(len(block.rows) for block in census(5)) == 34
+    assert sum(len(block.rows) for block in census(6)) == 156
+
+
+@pytest.mark.parametrize(
+    "rows, dtype, why",
+    [
+        ([[0b100, 0b000], [0, 0]], np.uint8, "references vertices >= n"),
+        ([[-1, 0]], np.int8, "references vertices >= n"),
+        ([[0b10, 0b01], [0b01, 0b01]], np.uint8, "loop"),
+        ([[0b10, 0b00]], np.uint8, "not symmetric"),
+    ],
+)
+def test_census_block_rejects_rows_graph_rejects(rows, dtype, why):
+    words = np.array(["A_"] * len(rows))
+    with pytest.raises(ValueError, match=why):
+        enumeration.CensusBlock(np.array(rows, dtype=dtype), words)
+
+
+def test_census_block_derives_connected_from_its_rows():
+    # relabeled paths need the longest walk from vertex 0; sparse random
+    # graphs on up to 10 vertices (uint16 rows) are often disconnected
+    rng = random.Random(41)
+    for n in range(1, 11):
+        graphs_ = [relabeled(rng, n, [(v, v + 1) for v in range(n - 1)]) for _ in range(20)]
+        graphs_ += [random_graph(rng, n, rng.uniform(0.05, 0.5)) for _ in range(200)]
+        rows = np.array([g.adj for g in graphs_], dtype=np.min_scalar_type((1 << n) - 1))
+        block = enumeration.CensusBlock(rows, np.array([write_graph6(g) for g in graphs_]))
+        assert block.connected.tolist() == [is_connected(g) for g in graphs_]
+        assert 0 < sum(block.connected) < len(graphs_) or n == 1
 
 
 def test_census_streams_orders_above_the_kept_limit(monkeypatch):

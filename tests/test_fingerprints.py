@@ -20,7 +20,12 @@ import pytest
 
 from graphentropy import enumeration
 from graphentropy.cli import main
-from graphentropy.enumeration import canonical_form, enumerate_graphs, enumerate_trees
+from graphentropy.enumeration import (
+    canonical_form,
+    clear_census,
+    enumerate_graphs,
+    enumerate_trees,
+)
 from graphentropy.graphs import component_count, from_edges, is_connected, write_graph6
 
 from _oracles import reference_write_graph6
@@ -157,6 +162,8 @@ def test_tree_stream_fingerprint():
         ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),
         ("verify param-compare --n 7 --param diameter", "d2b7d7a41f112761"),
         ("verify param-compare --n 7 --param max_degree", "218fbd1718986613"),
+        ("verify param-compare --n 8 --param diameter --threads 2", "e3f35bbd69c292b5"),
+        ("verify star-min-S --n 8", "c3c1b713d70c37d6"),
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
         ("verify density-implies-star --n 8", "5bc5f297976b397b"),
         ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
@@ -169,5 +176,7 @@ def test_tree_stream_fingerprint():
     ],
 )
 def test_cli_stdout_fingerprint(capsys, argv, expected):
+    if "--threads" in argv:
+        clear_census()  # so the census is sharded, not replayed
     main(argv.split())
     assert digest(capsys.readouterr().out) == expected
