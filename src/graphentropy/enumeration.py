@@ -57,12 +57,16 @@ left within one parent are dropped by canonical form. The DFS is one
 preorder walk (``_walk``) that yields every node's adjacency and columns, so
 each order's classes come out in emission order; it can start from the
 classes of one order, each searched once (``_root``), as a shard and
-``census`` do. In one process, memory stays linear in the recursion depth;
-under the optional process-pool sharding, each shard returns its classes as
-one array of rows and one string of graph6 words (``_shard_work``), so
-memory grows with the largest shard. The emission order (children sorted by
-edge count then canonical adjacency rows, within their parent) is
-deterministic, with or without sharding.
+``census`` do. In one process, memory stays linear in the recursion depth.
+The optional process-pool sharding (``_parallel``) splits the walk at order
+n - 3: each class of that order (34 at n = 8, 156 at n = 9, 1044 at
+n = 10) is a shard, whose order-n classes a worker returns as one array of
+rows and one string of graph6 words (``_shard_work``). The shards' subtrees,
+concatenated in preorder, are the order-n stream, so the emission order
+(children sorted by edge count then canonical adjacency rows, within their
+parent) is the same with or without sharding. Shards are small, so a worker
+holds one subtree's classes and the main process the shards handed back but
+not yet read (one, when the reader keeps up) plus one block.
 
 Trees. ``enumerate_trees`` walks level sequences with the WROM free-tree
 generator (Wright, Richmond, Odlyzko & McKay, "Constant time generation of
@@ -72,7 +76,9 @@ Census. ``census`` hands the order-n stream to the claim engines as numpy
 blocks. Its walk starts at the deepest order below n already kept, and for n
 up to ``CENSUS_KEPT`` it keeps every order it walked, so each such order is
 walked at most once per process, in any order of calls, and then replayed;
-larger orders, to ``CENSUS_MAX``, stream and are dropped. No ``Graph`` is
+larger orders, to ``CENSUS_MAX``, stream and are dropped. The walk in one
+process and the shards feed one block builder (``_blocks``), which cuts the
+stream at the same block boundaries however it was split. No ``Graph`` is
 built per class: a class's graph6 word is packed from the columns its
 canonical search returned (``_word``), and a ``CensusBlock`` checks its rows
 once, by the stacked rule ``density_spectra`` applies, and derives
@@ -84,7 +90,6 @@ process, while the scans that read only degrees never solve.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -564,31 +569,39 @@ def _word(cols: tuple[int, ...]) -> str:
     return _graph6_bytes(len(cols), body).decode("ascii")
 
 
-_SHARD_DEPTH = 4  # split the DFS at this order when sharding across workers
+_SHARD_DEPTH = 3  # a shard is one class of order n - 3 and its subtree down to order n
+_SHARD_MIN = 6  # orders below this are walked in one process, whatever ``workers`` is
+
+Part = tuple[np.ndarray, str]  # classes of one order: rows as one array, words joined by newlines
 
 
-def _shard_work(args: tuple[tuple[int, ...], int]) -> tuple[np.ndarray, str]:
-    """The order-n classes below one order-``_SHARD_DEPTH`` class, walked in a
-    worker: their rows as one array and their graph6 words joined by
-    newlines, a compact form to ship back (no column tuples)."""
+def _part(k: int, classes: Sequence[Class]) -> Part:
+    """Order-k classes in the form a shard ships back: their rows as one array
+    and their graph6 words joined by newlines (no column tuples)."""
+    rows = np.array([adj for adj, _ in classes], dtype=np.min_scalar_type((1 << k) - 1))
+    return rows, "\n".join([word for _, word in classes])
+
+
+def _shard_work(args: tuple[tuple[int, ...], int]) -> Part:
+    """The order-n classes below one order n - ``_SHARD_DEPTH`` class, walked
+    in a worker, as one ``_part``."""
     adj, n = args
-    nodes = [(a, cols) for a, cols in _walk([_root(adj)], n) if len(a) == n]
-    rows = np.array([a for a, _ in nodes], dtype=np.min_scalar_type((1 << n) - 1))
-    return rows, "\n".join([_word(cols) for _, cols in nodes])
+    return _part(n, [(a, _word(cols)) for a, cols in _walk([_root(adj)], n) if len(a) == n])
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
     """All graphs on n vertices, one per isomorphism class.
 
     Streaming and deterministic: the sequence is identical for any
-    ``workers`` value. Orders up to 10 are practical (the counts grow as
-    1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168); beyond that the
-    pure-Python search is honest but slow. ``connected_only`` filters the
-    same stream, so it saves no generation work.
+    ``workers`` value; with ``workers`` > 1 and n >= 6 it reads the shard
+    stream the sharded ``census`` reads. Orders up to 10 are practical (the
+    counts grow as 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168);
+    beyond that the pure-Python search is honest but slow. ``connected_only``
+    filters the same stream, so it saves no generation work.
     """
     _check_order(n)
-    if workers > 1 and n > _SHARD_DEPTH + 1:
-        adjs = (adj for adj, _ in _parallel(n, workers))
+    if workers > 1 and n >= _SHARD_MIN:
+        adjs = (adj for rows, _ in _parallel(n, workers) for adj in map(tuple, rows.tolist()))
     else:
         adjs = (adj for adj, _ in _walk([_K1], n) if len(adj) == n)
     for adj in adjs:
@@ -597,16 +610,17 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
             yield g
 
 
-def _parallel(n: int, workers: int) -> Iterator[Class]:
-    """The order-n classes as (adjacency, graph6 word), walked by ``workers``
-    processes, one shard per order-``_SHARD_DEPTH`` class, in emission order."""
+def _parallel(n: int, workers: int) -> Iterator[Part]:
+    """The order-n classes, one ``_part`` per shard in emission order: the
+    order n - ``_SHARD_DEPTH`` classes are walked here, and ``workers``
+    processes walk their subtrees. Closing the stream stops the pool."""
     import multiprocessing
 
-    shards = [(adj, n) for adj, _ in _walk([_K1], _SHARD_DEPTH) if len(adj) == _SHARD_DEPTH]
+    k = n - _SHARD_DEPTH
+    shards = [(adj, n) for adj, _ in _walk([_K1], k) if len(adj) == k]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
-        for rows, words in pool.imap(_shard_work, shards):
-            yield from zip(map(tuple, rows.tolist()), words.split("\n"))
+        yield from pool.imap(_shard_work, shards)
 
 
 CENSUS_BLOCK = 1024  # classes per census block
@@ -658,14 +672,23 @@ class CensusBlock:
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
 
 
-def _blocks(k: int, classes: Iterable[Class]) -> Iterator[CensusBlock]:
-    """The order-k ``classes``, (adjacency, graph6 word) pairs, in blocks of
-    ``CENSUS_BLOCK``, each made when filled; no ``Graph`` is built."""
-    classes = iter(classes)
-    dtype = np.min_scalar_type((1 << k) - 1)
-    while chunk := list(itertools.islice(classes, CENSUS_BLOCK)):
-        adjs, words = zip(*chunk)
-        yield CensusBlock(np.array(adjs, dtype=dtype), np.array(words))
+def _blocks(k: int, parts: Iterable[Part]) -> Iterator[CensusBlock]:
+    """The order-k classes of ``parts`` (``_part``s in emission order),
+    concatenated and sliced into blocks of ``CENSUS_BLOCK``, each made when
+    filled, so the boundaries do not depend on how the classes were split
+    into parts. It holds one part at a time, with fewer than ``CENSUS_BLOCK``
+    classes carried over from the part before."""
+    rows = np.empty((0, k), dtype=np.min_scalar_type((1 << k) - 1))
+    words: list[str] = []
+    for more_rows, more_words in parts:
+        rows = np.concatenate((rows, more_rows))
+        words += more_words.split("\n")
+        full = len(rows) - len(rows) % CENSUS_BLOCK
+        for i in range(0, full, CENSUS_BLOCK):
+            yield CensusBlock(rows[i : i + CENSUS_BLOCK], np.array(words[i : i + CENSUS_BLOCK]))
+        rows, words = rows[full:], words[full:]
+    if len(rows):
+        yield CensusBlock(rows, np.array(words))
 
 
 def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
@@ -674,12 +697,16 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     Each block is yielded as soon as it is filled. A kept order is replayed.
     Otherwise one walk starts at the deepest kept order below n (at K_1 if
     none), and for n <= ``CENSUS_KEPT`` every order it walked is kept once it
-    ends; a stream stopped early keeps nothing. A sharded stream keeps order
-    n only. A kept block keeps its ``spectra`` once asked for. Larger orders
-    are walked on every call and never kept. Each class's graph6 word is
-    packed from the columns its canonical search returned (``_word``). An
-    order above ``CENSUS_MAX`` or below 1 raises ValueError before anything
-    is walked or kept.
+    ends; a stream stopped early keeps nothing, and a sharded one stops its
+    pool. With ``workers`` > 1 and n >= 6 the stream is sharded
+    (``_parallel``) and keeps order n only. Both streams reach the blocks
+    through one builder, ``_blocks``: the walk in one process hands it
+    ``CENSUS_BLOCK`` classes at a time, the shards one part each. A kept
+    block keeps its ``spectra`` once asked for. Larger orders are walked on
+    every call and never kept. Each class's graph6 word is packed from the
+    columns its canonical search returned (``_word``). An order above
+    ``CENSUS_MAX`` or below 1 raises ValueError before anything is walked or
+    kept.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
@@ -690,32 +717,38 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
         return
     keep = n <= CENSUS_KEPT
     below: dict[int, list[Class]] = {}  # the orders walked below n
-    if workers > 1 and n > _SHARD_DEPTH + 1:
-        classes = _parallel(n, workers)  # the shards hand out order n only
+    if workers > 1 and n >= _SHARD_MIN:
+        parts = _parallel(n, workers)  # the shards hand out order n only
     else:
         base = max((k for k in _CENSUS if k < n), default=0)
         roots = (_root(tuple(a)) for b in _CENSUS[base] for a in b.rows.tolist()) if base else [_K1]
         below = {k: [] for k in range(base + 1, n) if keep}
 
-        def order_n(nodes: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]) -> Iterator[Class]:
+        def order_n(nodes: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]) -> Iterator[Part]:
+            chunk: list[Class] = []
             for adj, cols in nodes:
                 if len(adj) == n:
-                    yield adj, _word(cols)
+                    chunk.append((adj, _word(cols)))
+                    if len(chunk) == CENSUS_BLOCK:
+                        yield _part(n, chunk)
+                        chunk = []
                 elif len(adj) in below:
                     below[len(adj)].append((adj, _word(cols)))
+            if chunk:
+                yield _part(n, chunk)
 
-        classes = order_n(_walk(roots, n))
+        parts = order_n(_walk(roots, n))
 
     blocks: list[CensusBlock] = []
     try:
-        for block in _blocks(n, classes):
+        for block in _blocks(n, parts):
             if keep:
                 blocks.append(block)
             yield block
     finally:
-        classes.close()  # stops the pool of a sharded stream left early
+        parts.close()  # stops the pool of a sharded stream left early
     if keep:
-        _CENSUS.update((k, tuple(_blocks(k, pairs))) for k, pairs in below.items())
+        _CENSUS.update((k, tuple(_blocks(k, [_part(k, pairs)]))) for k, pairs in below.items())
         _CENSUS[n] = tuple(blocks)
 
 

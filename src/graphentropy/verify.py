@@ -45,14 +45,7 @@ from .entropy import (
     star_entropy_closed,
 )
 from .enumeration import CANON_MAX, CensusBlock, canonical_form, census, enumerate_trees
-from .graphs import (
-    Graph,
-    add_edge,
-    diameter,
-    matching_number,
-    max_degree,
-    parse_graph6,
-)
+from .graphs import Graph, add_edge, matching_number, parse_graph6
 from .spectral import density_spectra, density_spectrum
 
 EPS = 1e-9
@@ -602,10 +595,34 @@ class ParamComparison:
     rise_count: int = 0
 
 
-_PARAMS: dict[str, Callable[[Graph], int]] = {
-    "matching": matching_number,
-    "diameter": diameter,
-    "max_degree": max_degree,
+def _diameters(rows: np.ndarray) -> np.ndarray:
+    """The diameter of each of these connected classes' stacked rows, by a
+    bitmask BFS from every source at once, stepped as ``CensusBlock`` steps
+    its reach from vertex 0: a class's diameter is the number of steps until
+    every source reaches every vertex, at most n - 1."""
+    n = rows.shape[1]
+    full = (1 << n) - 1
+    shifts = np.arange(n, dtype=rows.dtype)
+    reach = np.ones_like(rows) << shifts  # source s reaches {s}
+    diam = np.zeros(len(rows), dtype=np.int64)
+    for _ in range(n - 1):
+        far = (reach != full).any(axis=1)
+        if not far.any():
+            break
+        diam += far
+        members = (reach[:, :, None] >> shifts) & 1  # (class, source, vertex)
+        reach = reach | np.bitwise_or.reduce(rows[:, None, :] * members, axis=2)
+    return diam
+
+
+# each parameter of a block's connected classes, from their stacked rows
+_PARAMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "matching": lambda rows: np.array(
+        [matching_number(Graph(rows.shape[1], adj)) for adj in map(tuple, rows.tolist())],
+        dtype=np.int64,
+    ),
+    "diameter": _diameters,
+    "max_degree": lambda rows: np.bitwise_count(rows).max(axis=1),
 }
 
 
@@ -621,6 +638,12 @@ def param_comparability(
     (G1 outer, G2 inner); counts are exact. ``cap`` follows the witness-cap
     rule (an int >= 0), checked before the census is read.
 
+    The parameter is read per census block, from the stacked rows of its
+    connected classes (``_PARAMS``): diameter by one bitmask BFS from every
+    source (``_diameters``), max_degree by popcounts, and the matching number
+    per class by ``matching_number``. With ``workers`` > 1 the census is
+    sharded; the result does not depend on ``workers``.
+
     No pair is visited to count. For each param level, the keys S(G2) + 1e-9
     (drops) and S(G2) - 1e-9 (rises) of the graphs at higher levels are
     sorted once and each S(G1) at that level is bisected into them, so the
@@ -634,14 +657,14 @@ def param_comparability(
         raise ValueError(f"param must be one of {sorted(_PARAMS)}")
     cap = _witness_cap(cap)
     f = _PARAMS[param]
-    ps: list[int] = []
+    ps: list[np.ndarray] = []
     ss: list[float] = []
     words: list[str] = []
     for rows, block_words, block in _scan(n, workers):
-        ps.extend(f(Graph(n, tuple(adj))) for adj in rows.tolist())
+        ps.append(f(rows))
         ss.extend(shannon_entropy(vals) for vals in _kept_spectra(block))
         words.extend(block_words)
-    p = np.array(ps, dtype=np.int64)
+    p = np.concatenate(ps, dtype=np.int64)
     s = np.array(ss, dtype=np.float64)
     drop_key = s + EPS  # G2 is a drop partner of G1 when drop_key[G2] < S(G1)
     rise_key = s - EPS  # and a rise partner when rise_key[G2] > S(G1)

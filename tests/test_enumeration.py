@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import random
 
 import numpy as np
@@ -545,6 +546,40 @@ def test_census_stopped_midstream_keeps_nothing(monkeypatch):
     assert 7 not in enumeration._CENSUS
     census_stream(7)
     assert len(calls) == 3 and 7 in enumeration._CENSUS
+
+
+def test_sharded_census_stopped_midstream_keeps_nothing_and_stops_its_pool():
+    clear_census()
+    with pytest.raises(RuntimeError):
+        for _ in census(7, workers=2):
+            raise RuntimeError("consumer failed on the first block")
+    assert not multiprocessing.active_children()
+    for _ in census(7, workers=2):
+        break
+    assert not multiprocessing.active_children()
+    assert enumeration._CENSUS == {}
+
+
+def block_fields(block):
+    # a block byte for byte: length, row dtype, rows, words, both masks
+    return (
+        len(block.rows),
+        block.rows.dtype.str,
+        block.rows.tobytes(),
+        block.graph6.tolist(),
+        block.connected.tobytes(),
+        block.edged.tobytes(),
+    )
+
+
+def test_sharded_census_equals_the_serial_census_block_by_block():
+    # the shards split the stream at other places than the blocks do
+    for n in (7, 8):
+        clear_census()
+        serial = [block_fields(block) for block in census(n)]
+        for workers in (2, 3):
+            clear_census()
+            assert [block_fields(block) for block in census(n, workers=workers)] == serial
 
 
 def census_digest():

@@ -162,6 +162,9 @@ def test_tree_stream_fingerprint():
         ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),
         ("verify param-compare --n 7 --param diameter", "d2b7d7a41f112761"),
         ("verify param-compare --n 7 --param max_degree", "218fbd1718986613"),
+        ("verify param-compare --n 7 --param matching --threads 2", "eb5633493113a9c7"),
+        ("verify param-compare --n 7 --param diameter --threads 2", "d2b7d7a41f112761"),
+        ("verify param-compare --n 7 --param max_degree --threads 2", "218fbd1718986613"),
         ("verify param-compare --n 8 --param diameter --threads 2", "e3f35bbd69c292b5"),
         ("verify star-min-S --n 8", "c3c1b713d70c37d6"),
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),

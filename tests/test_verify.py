@@ -506,6 +506,19 @@ def test_param_comparability_matches_pair_loop(n, param):
         assert (got.drop_count, got.rise_count) == (drop_count, rise_count)
 
 
+def test_block_params_match_the_per_graph_functions():
+    # param_comparability reads diameter and max degree per census block
+    connected = 0
+    for n in range(1, 9):
+        for block in census(n):
+            rows = block.rows[block.connected]
+            graphs_ = [parse_graph6(word) for word in block.graph6[block.connected].tolist()]
+            assert verify._PARAMS["diameter"](rows).tolist() == [diameter(g) for g in graphs_]
+            assert verify._PARAMS["max_degree"](rows).tolist() == [max_degree(g) for g in graphs_]
+            connected += len(graphs_)
+    assert connected == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 11117
+
+
 # --- kept census spectra ----------------------------------------------------------
 
 SPECTRAL_ENGINES = [
