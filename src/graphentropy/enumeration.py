@@ -628,6 +628,13 @@ CENSUS_KEPT = 8  # orders up to this, the ones a process replays, are kept; larg
 CENSUS_MAX = 10  # no census above this order: n = 11 has about 10^9 classes
 
 
+def _reach_step(rows: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """One BFS step over stacked rows: each vertex mask ``reach[c, s]`` (class c,
+    source s) gains its members' neighbours, an OR-reduce of their rows."""
+    members = (reach[:, :, None] >> np.arange(rows.shape[1], dtype=rows.dtype)) & 1
+    return reach | np.bitwise_or.reduce(rows[:, None, :] * members, axis=2)
+
+
 @dataclass(frozen=True, eq=False)
 class CensusBlock:
     """Consecutive classes of one order, in ``enumerate_graphs`` order.
@@ -636,10 +643,10 @@ class CensusBlock:
     per vertex) and ``graph6[i]`` its graph6 word. The rows are checked once
     for the whole block, by the rule ``density_spectra`` applies
     (``graphs._row_bits``: no bit at a column >= n, no loop, no asymmetric
-    pair, else ValueError), and ``connected[i]``, whether class i is
-    connected, and ``edged[i]``, whether it has an edge, are derived from
-    them. All four arrays are read-only. ``spectra`` is solved on first use
-    and then lives as long as the block.
+    pair, else ValueError); ``connected[i]``, whether n - 1 ``_reach_step``s
+    from vertex 0 reach all of class i, and ``edged[i]``, whether it has an
+    edge, are derived from them. All four arrays are read-only. ``spectra`` is
+    solved on first use and then lives as long as the block.
     """
 
     rows: np.ndarray
@@ -651,11 +658,10 @@ class CensusBlock:
         rows = self.rows
         n = rows.shape[1]
         _row_bits(rows)
-        reach = rows[:, 0] | 1  # per class, the mask of vertex 0 and its neighbours
-        shifts = np.arange(n, dtype=rows.dtype)
-        for _ in range(n - 2):  # a shortest path from vertex 0 has at most n - 1 edges
-            reach = reach | np.bitwise_or.reduce(rows * ((reach[:, None] >> shifts) & 1), axis=1)
-        object.__setattr__(self, "connected", reach == (1 << n) - 1)
+        reach = np.ones((len(rows), 1), dtype=rows.dtype)  # per class, one source: vertex 0
+        for _ in range(n - 1):  # a shortest path from vertex 0 has at most n - 1 edges
+            reach = _reach_step(rows, reach)
+        object.__setattr__(self, "connected", reach[:, 0] == (1 << n) - 1)
         object.__setattr__(self, "edged", rows.any(axis=1))
         for arr in (self.rows, self.connected, self.graph6, self.edged):  # shared when kept
             arr.flags.writeable = False

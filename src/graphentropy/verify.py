@@ -4,12 +4,13 @@ Every graph engine folds over the census of one order n (kept orders are
 walked once per process, whatever the order of the calls), the tree engine
 over the tree generator; each checks one claim and returns a
 ``VerificationResult``. The spectral engines read the density spectra each
-census block keeps, so a kept order's spectra are solved once per process
-too, by the first engine that asks. The engines that read only degrees never
-solve: they read int64 degree sums per block (``_degree_sums``), test them
-against per-m star and density tables, and compare tr2 by int64
-cross-multiplication, making a Fraction only for a value they report.
-Two kinds of claim are treated differently, on purpose:
+census block keeps (the connected classes' through ``_measured``), so a kept
+order's spectra are solved once per process, by the first engine that asks;
+``coentropy_search`` re-solves only its runs' rows. The engines that read
+only degrees never solve: they read int64 degree sums per block
+(``_degree_sums``), test them against per-m star and density tables, and
+compare tr2 by int64 cross-multiplication, making a Fraction only for a
+value they report. Two kinds of claim are treated differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
   uniqueness, the Renyi maximum bound, the edge-addition lower bound) are
@@ -44,7 +45,9 @@ from .entropy import (
     shannon_entropy,
     star_entropy_closed,
 )
-from .enumeration import CANON_MAX, CensusBlock, canonical_form, census, enumerate_trees
+from .enumeration import (
+    CANON_MAX, CENSUS_BLOCK, CensusBlock, _reach_step, canonical_form, census, enumerate_trees
+)
 from .graphs import Graph, add_edge, matching_number, parse_graph6
 from .spectral import density_spectra, density_spectrum
 
@@ -153,16 +156,15 @@ def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, list[str], CensusB
         yield block.rows[block.connected], block.graph6[block.connected].tolist(), block
 
 
-def _kept_spectra(block: CensusBlock) -> list[list[float]]:
-    """The kept ``spectra`` rows of the block's connected classes, all
-    ``edged`` for n >= 2."""
-    return block.spectra[block.connected[block.edged]].tolist()
-
-
-def _spectra(n: int, workers: int) -> Iterator[tuple[list[float], str]]:
-    """(density spectrum, graph6 word) per connected class."""
-    for _, words, block in _scan(n, workers):
-        yield from zip(_kept_spectra(block), words)
+def _measured(
+    n: int, workers: int, measure: Callable[[Sequence[float]], float]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, graph6 words, float64 ``measure`` of each kept ``spectra`` row)
+    of each census block's connected classes, all ``edged`` for n >= 2, as
+    arrays: a fold that keeps them holds no str or float object per class."""
+    for rows, _, block in _scan(n, workers):
+        kept = block.spectra[block.connected[block.edged]].tolist()
+        yield rows, block.graph6[block.connected], np.array([measure(v) for v in kept], dtype=float)
 
 
 def _degree_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,12 +247,12 @@ def _star_min_scan(
     t0 = time.perf_counter()
     extremes = _Extremes()
     classes = 0
-    for vals, g6 in _spectra(n, workers):
-        classes += 1
-        h = measure(vals)
-        extremes.offer(h, g6)
-        if h < target - EPS:
-            found.add(g6)
+    for _, words, values in _measured(n, workers, measure):
+        classes += len(words)
+        for h, g6 in zip(values.tolist(), words.tolist()):
+            extremes.offer(h, g6)
+            if h < target - EPS:
+                found.add(g6)
     stats = {
         "classes": classes,
         **params,
@@ -533,7 +535,7 @@ def edge_add_decrease_search(
 
 @dataclass
 class CoentropyGroup:
-    """Connected graphs sharing S to 1e-12 without all being cospectral."""
+    """Connected graphs sharing S to 1e-12, not all cospectral, in ``coentropy_search``'s order."""
 
     entropy: float
     members: list[str]
@@ -543,38 +545,33 @@ class CoentropyGroup:
 def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
     """Groups of connected graphs with equal S but different rho-spectra.
 
-    Sort-then-sweep on S: a candidate group is a run of the sorted float64
-    values of S whose consecutive gaps are all within 1e-12 (the values are
-    not recomputed in higher precision). A group is kept only if some member
-    pair differs by more than 1e-7 in a sorted spectrum entry.
+    A column fold: each connected class's census row, graph6 word and S are
+    kept and ordered as sorted (S, word) pairs are. A run of that order with
+    every gap in S within 1e-12 (float64, not recomputed) is a candidate
+    group; the members of all runs of two or more are re-solved from their
+    rows by ``density_spectra`` calls of up to ``CENSUS_BLOCK`` rows, and a
+    run is kept if some pair differs by over 1e-7 in a sorted spectrum entry.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = sorted((shannon_entropy(vals), g6) for vals, g6 in _spectra(n, workers))
-    groups: list[CoentropyGroup] = []
-    i = 0
-    while i < len(rows):
-        j = i + 1
-        while j < len(rows) and rows[j][0] - rows[j - 1][0] <= 1e-12:
-            j += 1
-        sub = rows[i:j]
-        i = j
-        if len(sub) < 2:
-            continue
-        specs = [density_spectrum(parse_graph6(g6)) for _, g6 in sub]
-        distinct = _distinct_spectra(specs)
-        if distinct > 1:
-            groups.append(
-                CoentropyGroup(
-                    entropy=sub[0][0],
-                    members=[g6 for _, g6 in sub],
-                    distinct_spectra=distinct,
-                )
-            )
-    return groups
+    rows, words, s = (np.concatenate(c) for c in zip(*_measured(n, workers, shannon_entropy)))
+    order = np.lexsort((words, s))
+    starts = np.flatnonzero(np.diff(s[order], prepend=-np.inf) > 1e-12)
+    sizes = np.diff(starts, append=len(order))
+    runs = [order[a : a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
+    members = rows[order[np.repeat(sizes > 1, sizes)]]  # the runs' rows, concatenated
+    spectra = itertools.chain.from_iterable(
+        density_spectra(members[i : i + CENSUS_BLOCK]).tolist()
+        for i in range(0, len(members), CENSUS_BLOCK)
+    )
+    return [
+        CoentropyGroup(float(s[run[0]]), words[run].tolist(), distinct)
+        for run in runs
+        if (distinct := _distinct_spectra([next(spectra) for _ in run])) > 1
+    ]
 
 
-def _distinct_spectra(specs: list[tuple[float, ...]]) -> int:
+def _distinct_spectra(specs: list[list[float]]) -> int:
     """Classes of spectra that agree entrywise within 1e-7."""
     reps: list[tuple[float, ...]] = []
     for s in specs:
@@ -596,22 +593,19 @@ class ParamComparison:
 
 
 def _diameters(rows: np.ndarray) -> np.ndarray:
-    """The diameter of each of these connected classes' stacked rows, by a
-    bitmask BFS from every source at once, stepped as ``CensusBlock`` steps
-    its reach from vertex 0: a class's diameter is the number of steps until
-    every source reaches every vertex, at most n - 1."""
+    """The diameter of each of these connected classes' stacked rows: the
+    number of ``_reach_step``s, taken from every source at once (``CensusBlock``
+    takes them from vertex 0), until each source reaches every vertex."""
     n = rows.shape[1]
     full = (1 << n) - 1
-    shifts = np.arange(n, dtype=rows.dtype)
-    reach = np.ones_like(rows) << shifts  # source s reaches {s}
+    reach = np.ones_like(rows) << np.arange(n, dtype=rows.dtype)  # source s reaches {s}
     diam = np.zeros(len(rows), dtype=np.int64)
     for _ in range(n - 1):
         far = (reach != full).any(axis=1)
         if not far.any():
             break
         diam += far
-        members = (reach[:, :, None] >> shifts) & 1  # (class, source, vertex)
-        reach = reach | np.bitwise_or.reduce(rows[:, None, :] * members, axis=2)
+        reach = _reach_step(rows, reach)
     return diam
 
 
@@ -657,15 +651,9 @@ def param_comparability(
         raise ValueError(f"param must be one of {sorted(_PARAMS)}")
     cap = _witness_cap(cap)
     f = _PARAMS[param]
-    ps: list[np.ndarray] = []
-    ss: list[float] = []
-    words: list[str] = []
-    for rows, block_words, block in _scan(n, workers):
-        ps.append(f(rows))
-        ss.extend(shannon_entropy(vals) for vals in _kept_spectra(block))
-        words.extend(block_words)
+    ps, words, s = zip(*((f(rows), w, v) for rows, w, v in _measured(n, workers, shannon_entropy)))
     p = np.concatenate(ps, dtype=np.int64)
-    s = np.array(ss, dtype=np.float64)
+    words, s = np.concatenate(words), np.concatenate(s)
     drop_key = s + EPS  # G2 is a drop partner of G1 when drop_key[G2] < S(G1)
     rise_key = s - EPS  # and a rise partner when rise_key[G2] > S(G1)
     drops = np.zeros(len(s), dtype=np.int64)
@@ -684,7 +672,7 @@ def param_comparability(
             if len(pairs) >= cap:
                 break
             js = np.flatnonzero((p > p[i]) & partner(i))[: cap - len(pairs)]
-            pairs.extend((words[i], words[j]) for j in js.tolist())
+            pairs.extend((str(words[i]), str(words[j])) for j in js.tolist())
         return pairs
 
     return ParamComparison(

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 
 import graphentropy
-from graphentropy.entropy import renyi_entropy, star_entropy_closed, star_test, von_neumann_entropy
+from graphentropy.entropy import (
+    renyi_entropy,
+    shannon_entropy,
+    star_entropy_closed,
+    star_test,
+    von_neumann_entropy,
+)
 from graphentropy import enumeration
 from graphentropy.enumeration import (
     CANON_MAX,
@@ -25,6 +32,7 @@ from graphentropy.graphs import (
     add_edge,
     complete,
     diameter,
+    from_edges,
     is_connected,
     laplacian,
     matching_number,
@@ -34,6 +42,7 @@ from graphentropy.graphs import (
     star,
     write_graph6,
 )
+from graphentropy.spectral import density_spectrum
 from graphentropy import verify
 from graphentropy.verify import (
     DEFAULT_WITNESS_CAP,
@@ -456,7 +465,98 @@ def test_coentropy_groups_are_internally_consistent():
             assert entropy_oracle(g) == pytest.approx(grp.entropy, abs=5e-10)
 
 
+def coentropy_the_old_way(n, workers):
+    # sorted (S, word) pairs, runs joined while a gap is <= 1e-12, and each
+    # run's members re-solved one graph at a time from their graph6 words
+    pairs = sorted(
+        (shannon_entropy(vals), word)
+        for block in census(n, workers=workers)
+        for vals, word in zip(
+            block.spectra[block.connected[block.edged]].tolist(),
+            block.graph6[block.connected].tolist(),
+        )
+    )
+    groups = []
+    i = 0
+    while i < len(pairs):
+        j = i + 1
+        while j < len(pairs) and pairs[j][0] - pairs[j - 1][0] <= 1e-12:
+            j += 1
+        reps = []
+        for spec in (density_spectrum(parse_graph6(word)) for _, word in pairs[i:j]):
+            if not any(max(abs(a - b) for a, b in zip(spec, r)) <= 1e-7 for r in reps):
+                reps.append(spec)
+        if len(reps) > 1:
+            groups.append(CoentropyGroup(pairs[i][0], [w for _, w in pairs[i:j]], len(reps)))
+        i = j
+    return groups
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coentropy_reads_census_rows_without_parsing_or_per_graph_solves(monkeypatch, workers):
+    want = {n: coentropy_the_old_way(n, workers) for n in (6, 7, 8)}
+    assert [len(want[n]) for n in (6, 7, 8)] == [0, 0, 3]
+
+    def refuse(*args):
+        raise AssertionError("coentropy_search parsed a word or solved one graph")
+
+    monkeypatch.setattr(verify, "parse_graph6", refuse)
+    monkeypatch.setattr(verify, "density_spectrum", refuse)
+    clear_census()  # workers=2 then walks its shards again
+    for n, groups in want.items():
+        assert coentropy_search(n, workers=workers) == groups
+
+
+def test_coentropy_joins_a_gap_of_exactly_1e_12(monkeypatch):
+    # S patched to 0.0 or 1e-12 by the largest density eigenvalue (K_5: 0.25,
+    # the star: 0.625): the exact gap of 1e-12 still joins one run, ordered
+    # by S, then word
+    monkeypatch.setattr(verify, "shannon_entropy", lambda vals: 0.0 if vals[0] < 0.3 else 1e-12)
+    classes = [
+        (0.0 if vals[0] < 0.3 else 1e-12, word)
+        for block in census(5)
+        for vals, word in zip(block.spectra.tolist(), block.graph6[block.edged].tolist())
+        if is_connected(parse_graph6(word))
+    ]
+    assert len(classes) == 21 and len({s for s, _ in classes}) == 2
+    (group,) = coentropy_search(5)
+    assert group.entropy == 0.0 and group.members == [word for _, word in sorted(classes)]
+    assert group.distinct_spectra > 1
+
+
 # --- parameter comparability ----------------------------------------------------------
+
+
+def test_reach_step_gives_components_and_diameters():
+    # relabeled paths need n - 1 steps from an end; sparse random graphs on up
+    # to 10 vertices (uint16 rows) are often disconnected
+    rng = random.Random(43)
+    for n in range(1, 11):
+        graphs_ = [
+            from_edges(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+            for perm in (rng.sample(range(n), n) for _ in range(20))
+        ]
+        graphs_ += [
+            from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            for p in (rng.uniform(0.05, 0.6) for _ in range(200))
+        ]
+        rows = np.array([g.adj for g in graphs_], dtype=np.min_scalar_type((1 << n) - 1))
+        reach = np.ones_like(rows) << np.arange(n, dtype=rows.dtype)
+        for _ in range(n - 1):
+            reach = enumeration._reach_step(rows, reach)
+        # each source reaches exactly its component: itself, no edge leaving
+        # its reach, and t reached from s iff s from t
+        bits = (reach[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1  # (class, source, vertex)
+        assert bits.diagonal(axis1=1, axis2=2).all()
+        assert not np.any(bits * (rows[:, None, :] & ~reach[:, :, None]))
+        assert np.array_equal(bits, bits.transpose(0, 2, 1))
+        connected = [is_connected(g) for g in graphs_]
+        assert (reach[:, 0] == (1 << n) - 1).tolist() == connected
+        block = enumeration.CensusBlock(rows, np.array([write_graph6(g) for g in graphs_]))
+        assert block.connected.tolist() == connected
+        linked = [g for g, c in zip(graphs_, connected) if c]
+        assert verify._diameters(rows[block.connected]).tolist() == [diameter(g) for g in linked]
+        assert 0 < len(linked) < len(graphs_) or n == 1
 
 
 def test_param_star_path_pairs():
@@ -560,10 +660,12 @@ def test_spectral_engines_share_one_solve_per_block(monkeypatch):
     first = list(calls)
     together += [without_runtime(engine()) for engine in SPECTRAL_ENGINES[1:]]
     assert together == alone
-    # the first engine solved each block once, over its classes with an edge
+    # the first engine solved each block once, over its classes with an edge;
+    # the later ones solve no block, and coentropy_search makes one stacked
+    # solve of its 115 run members
     edged = [int(block.rows.any(axis=1).sum()) for block in census(7)]
     assert first == edged and len(edged) == 2
-    assert calls == first
+    assert calls == first + [115]
 
 
 def test_a_scan_that_raises_keeps_no_spectra(monkeypatch):
