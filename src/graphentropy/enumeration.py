@@ -54,14 +54,14 @@ transpositions and those it found between leaves, carried down the DFS in
 the canonical labeling, and relabeled only for the children the walk will
 expand; they may generate a proper subgroup, so the few duplicate children
 left within one parent are dropped by canonical form. The DFS is one
-preorder walk (``_walk``) that yields every node's adjacency and columns, so
+preorder walk (``_walk``) that yields every node's canonical adjacency, so
 each order's classes come out in emission order; it can start from the
 classes of one order, each searched once (``_root``), as a shard and
 ``census`` do. In one process, memory stays linear in the recursion depth.
 The optional process-pool sharding (``_parallel``) splits the walk at order
 n - 3: each class of that order (34 at n = 8, 156 at n = 9, 1044 at
 n = 10) is a shard, whose order-n classes a worker returns as one array of
-rows and one string of graph6 words (``_shard_work``). The shards' subtrees,
+canonical rows and nothing else (``_shard_work``). The shards' subtrees,
 concatenated in preorder, are the order-n stream, so the emission order
 (children sorted by edge count then canonical adjacency rows, within their
 parent) is the same with or without sharding. Shards are small, so a worker
@@ -77,15 +77,17 @@ blocks. Its walk starts at the deepest order below n already kept, and for n
 up to ``CENSUS_KEPT`` it keeps every order it walked, so each such order is
 walked at most once per process, in any order of calls, and then replayed;
 larger orders, to ``CENSUS_MAX``, stream and are dropped. The walk in one
-process and the shards feed one block builder (``_blocks``), which cuts the
-stream at the same block boundaries however it was split. No ``Graph`` is
-built per class: a class's graph6 word is packed from the columns its
-canonical search returned (``_word``), and a ``CensusBlock`` checks its rows
-once, by the stacked rule ``density_spectra`` applies, and derives
-``connected`` and ``edged`` from them. A block solves the density spectra of
-its ``edged`` classes on first use (``CensusBlock.spectra``) and keeps them as
-long as it is kept, so the spectral engines share one solve per kept order and
-process, while the scans that read only degrees never solve.
+process and the shards feed one block builder (``_blocks``) with canonical
+rows only, cut at the same block boundaries however the stream was split.
+No ``Graph`` is built per class and no word travels with the rows: a
+``CensusBlock`` checks its rows once, by the stacked rule ``density_spectra``
+applies, and derives from them ``graph6`` (each class's upper triangle, read
+column by column from the bits that check expanded and packed by
+``graphs._graph6_bytes``: the word ``write_graph6`` gives the same rows),
+``connected`` and ``edged``. A block solves the density spectra of its
+``edged`` classes on first use (``CensusBlock.spectra``) and keeps them as
+long as it is kept, so the spectral engines share one solve per kept order
+and process, while the scans that read only degrees never solve.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ from .graphs import (
     Graph6Error,
     _bit_vertices,
     _check_order,
+    _graph6_bodies,
     _graph6_body,
     _graph6_bytes,
     _row_bits,
@@ -198,7 +201,6 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
 
 Auts = list[tuple[int, ...]]
 Node = tuple[tuple[int, ...], tuple[int, ...], Auts]  # (adjacency, columns, automorphisms)
-Class = tuple[tuple[int, ...], str]  # (adjacency, graph6 word) of a canonical class
 
 
 def _canon_search(
@@ -544,15 +546,15 @@ def _root(adj: tuple[int, ...]) -> Node:
     return adj, cols, auts
 
 
-def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[int, ...]]:
     """Preorder DFS from ``roots`` (one order's classes, in emission order)
-    down to order n, yielding every node's (adjacency, columns); the length
-    is the order. Nodes of order n are not expanded, so the children made at
+    down to order n, yielding every node's canonical adjacency; its length is
+    the order. Nodes of order n are not expanded, so the children made at
     order n carry no automorphisms (``_children``'s ``expand``)."""
 
-    def down(nodes: Iterable[Node]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def down(nodes: Iterable[Node]) -> Iterator[tuple[int, ...]]:
         for adj, cols, auts in nodes:
-            yield adj, cols
+            yield adj
             k = len(adj)
             if k < n:
                 yield from down(_children(k, adj, cols, auts, k + 1 < n))
@@ -560,33 +562,16 @@ def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[tuple[int, ...], tupl
     return down(roots)
 
 
-def _word(cols: tuple[int, ...]) -> str:
-    """The graph6 word of a canonical class from its search's columns: columns
-    1..k-1 concatenated are the graph6 body."""
-    body = 0
-    for j in range(1, len(cols)):
-        body = (body << j) | cols[j]
-    return _graph6_bytes(len(cols), body).decode("ascii")
-
-
 _SHARD_DEPTH = 3  # a shard is one class of order n - 3 and its subtree down to order n
 _SHARD_MIN = 6  # orders below this are walked in one process, whatever ``workers`` is
 
-Part = tuple[np.ndarray, str]  # classes of one order: rows as one array, words joined by newlines
 
-
-def _part(k: int, classes: Sequence[Class]) -> Part:
-    """Order-k classes in the form a shard ships back: their rows as one array
-    and their graph6 words joined by newlines (no column tuples)."""
-    rows = np.array([adj for adj, _ in classes], dtype=np.min_scalar_type((1 << k) - 1))
-    return rows, "\n".join([word for _, word in classes])
-
-
-def _shard_work(args: tuple[tuple[int, ...], int]) -> Part:
-    """The order-n classes below one order n - ``_SHARD_DEPTH`` class, walked
-    in a worker, as one ``_part``."""
+def _shard_work(args: tuple[tuple[int, ...], int]) -> np.ndarray:
+    """The rows of the order-n classes below one order n - ``_SHARD_DEPTH``
+    class, walked in a worker, as one array."""
     adj, n = args
-    return _part(n, [(a, _word(cols)) for a, cols in _walk([_root(adj)], n) if len(a) == n])
+    rows = [a for a in _walk([_root(adj)], n) if len(a) == n]
+    return np.array(rows, dtype=np.min_scalar_type((1 << n) - 1))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
@@ -601,23 +586,23 @@ def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> 
     """
     _check_order(n)
     if workers > 1 and n >= _SHARD_MIN:
-        adjs = (adj for rows, _ in _parallel(n, workers) for adj in map(tuple, rows.tolist()))
+        adjs = (adj for rows in _parallel(n, workers) for adj in map(tuple, rows.tolist()))
     else:
-        adjs = (adj for adj, _ in _walk([_K1], n) if len(adj) == n)
+        adjs = (adj for adj in _walk([_K1], n) if len(adj) == n)
     for adj in adjs:
         g = Graph(n, adj)
         if not connected_only or is_connected(g):
             yield g
 
 
-def _parallel(n: int, workers: int) -> Iterator[Part]:
-    """The order-n classes, one ``_part`` per shard in emission order: the
-    order n - ``_SHARD_DEPTH`` classes are walked here, and ``workers``
+def _parallel(n: int, workers: int) -> Iterator[np.ndarray]:
+    """The rows of the order-n classes, one array per shard in emission order:
+    the order n - ``_SHARD_DEPTH`` classes are walked here, and ``workers``
     processes walk their subtrees. Closing the stream stops the pool."""
     import multiprocessing
 
     k = n - _SHARD_DEPTH
-    shards = [(adj, n) for adj, _ in _walk([_K1], k) if len(adj) == k]
+    shards = [(adj, n) for adj in _walk([_K1], k) if len(adj) == k]
     ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
     with ctx.Pool(workers) as pool:
         yield from pool.imap(_shard_work, shards)
@@ -640,24 +625,27 @@ class CensusBlock:
     """Consecutive classes of one order, in ``enumerate_graphs`` order.
 
     ``rows[i]`` holds the adjacency bitmasks of class i (one unsigned column
-    per vertex) and ``graph6[i]`` its graph6 word. The rows are checked once
-    for the whole block, by the rule ``density_spectra`` applies
-    (``graphs._row_bits``: no bit at a column >= n, no loop, no asymmetric
-    pair, else ValueError); ``connected[i]``, whether n - 1 ``_reach_step``s
-    from vertex 0 reach all of class i, and ``edged[i]``, whether it has an
-    edge, are derived from them. All four arrays are read-only. ``spectra`` is
-    solved on first use and then lives as long as the block.
+    per vertex), canonically relabeled in a census. The rows, the only input,
+    are checked once for the whole block by the rule ``density_spectra``
+    applies (``graphs._row_bits``: no bit at a column >= n, no loop, no
+    asymmetric pair, else ValueError); ``graph6[i]``, the word of rows i packed
+    from the bits that check expanded (``graphs._graph6_bodies``),
+    ``connected[i]``, whether n - 1 ``_reach_step``s from vertex 0 reach all of
+    class i, and ``edged[i]``, whether it has an edge, are derived from them.
+    All four arrays are read-only. ``spectra`` is solved on first use and then
+    lives as long as the block.
     """
 
     rows: np.ndarray
-    graph6: np.ndarray
+    graph6: np.ndarray = field(init=False)
     connected: np.ndarray = field(init=False)
     edged: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         rows = self.rows
         n = rows.shape[1]
-        _row_bits(rows)
+        bodies = _graph6_bodies(_row_bits(rows))
+        object.__setattr__(self, "graph6", np.array([_graph6_bytes(n, b).decode() for b in bodies]))
         reach = np.ones((len(rows), 1), dtype=rows.dtype)  # per class, one source: vertex 0
         for _ in range(n - 1):  # a shortest path from vertex 0 has at most n - 1 edges
             reach = _reach_step(rows, reach)
@@ -678,23 +666,22 @@ class CensusBlock:
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
 
 
-def _blocks(k: int, parts: Iterable[Part]) -> Iterator[CensusBlock]:
-    """The order-k classes of ``parts`` (``_part``s in emission order),
-    concatenated and sliced into blocks of ``CENSUS_BLOCK``, each made when
-    filled, so the boundaries do not depend on how the classes were split
-    into parts. It holds one part at a time, with fewer than ``CENSUS_BLOCK``
-    classes carried over from the part before."""
+def _blocks(k: int, parts: Iterable[np.ndarray | list[tuple[int, ...]]]) -> Iterator[CensusBlock]:
+    """The order-k classes of ``parts`` (rows arrays of shards, or lists of
+    adjacencies, in emission order), concatenated into one rows array and
+    sliced into blocks of ``CENSUS_BLOCK``, each made when filled, so the
+    boundaries do not depend on how the classes were split into parts. It
+    holds one part at a time, with fewer than ``CENSUS_BLOCK`` classes carried
+    over from the part before."""
     rows = np.empty((0, k), dtype=np.min_scalar_type((1 << k) - 1))
-    words: list[str] = []
-    for more_rows, more_words in parts:
-        rows = np.concatenate((rows, more_rows))
-        words += more_words.split("\n")
+    for part in parts:
+        rows = np.concatenate((rows, np.asarray(part, dtype=rows.dtype)))
         full = len(rows) - len(rows) % CENSUS_BLOCK
         for i in range(0, full, CENSUS_BLOCK):
-            yield CensusBlock(rows[i : i + CENSUS_BLOCK], np.array(words[i : i + CENSUS_BLOCK]))
-        rows, words = rows[full:], words[full:]
+            yield CensusBlock(rows[i : i + CENSUS_BLOCK])
+        rows = rows[full:]
     if len(rows):
-        yield CensusBlock(rows, np.array(words))
+        yield CensusBlock(rows)
 
 
 def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
@@ -706,13 +693,12 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     ends; a stream stopped early keeps nothing, and a sharded one stops its
     pool. With ``workers`` > 1 and n >= 6 the stream is sharded
     (``_parallel``) and keeps order n only. Both streams reach the blocks
-    through one builder, ``_blocks``: the walk in one process hands it
-    ``CENSUS_BLOCK`` classes at a time, the shards one part each. A kept
-    block keeps its ``spectra`` once asked for. Larger orders are walked on
-    every call and never kept. Each class's graph6 word is packed from the
-    columns its canonical search returned (``_word``). An order above
-    ``CENSUS_MAX`` or below 1 raises ValueError before anything is walked or
-    kept.
+    through one builder, ``_blocks``, as canonical rows only: the walk in one
+    process hands it ``CENSUS_BLOCK`` adjacencies at a time, the shards one
+    rows array each. Each block derives its classes' graph6 words from its
+    rows. A kept block keeps its ``spectra`` once asked for. Larger orders are
+    walked on every call and never kept. An order above ``CENSUS_MAX`` or
+    below 1 raises ValueError before anything is walked or kept.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
@@ -722,7 +708,7 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
         yield from kept
         return
     keep = n <= CENSUS_KEPT
-    below: dict[int, list[Class]] = {}  # the orders walked below n
+    below: dict[int, list[tuple[int, ...]]] = {}  # the orders walked below n
     if workers > 1 and n >= _SHARD_MIN:
         parts = _parallel(n, workers)  # the shards hand out order n only
     else:
@@ -730,18 +716,18 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
         roots = (_root(tuple(a)) for b in _CENSUS[base] for a in b.rows.tolist()) if base else [_K1]
         below = {k: [] for k in range(base + 1, n) if keep}
 
-        def order_n(nodes: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]) -> Iterator[Part]:
-            chunk: list[Class] = []
-            for adj, cols in nodes:
+        def order_n(adjs: Iterator[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+            chunk: list[tuple[int, ...]] = []
+            for adj in adjs:
                 if len(adj) == n:
-                    chunk.append((adj, _word(cols)))
+                    chunk.append(adj)
                     if len(chunk) == CENSUS_BLOCK:
-                        yield _part(n, chunk)
+                        yield chunk
                         chunk = []
                 elif len(adj) in below:
-                    below[len(adj)].append((adj, _word(cols)))
+                    below[len(adj)].append(adj)
             if chunk:
-                yield _part(n, chunk)
+                yield chunk
 
         parts = order_n(_walk(roots, n))
 
@@ -754,7 +740,7 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     finally:
         parts.close()  # stops the pool of a sharded stream left early
     if keep:
-        _CENSUS.update((k, tuple(_blocks(k, [_part(k, pairs)]))) for k, pairs in below.items())
+        _CENSUS.update((k, tuple(_blocks(k, [adjs]))) for k, adjs in below.items())
         _CENSUS[n] = tuple(blocks)
 
 

@@ -430,6 +430,16 @@ def _graph6_bytes(n: int, body: int) -> bytes:
     return bytes(size) + digits[:nbytes].translate(_BASE64_TO_GRAPH6)
 
 
+def _graph6_bodies(bits: np.ndarray) -> list[int]:
+    """``_graph6_bytes``' body for each matrix of a (B, n, n) stack of symmetric
+    adjacency bits: its upper triangle by columns, x(0,1) highest, as an int."""
+    n = bits.shape[1]
+    j, i = np.tril_indices(n, -1)  # (j, i), i < j, by j then i: x(i, j) in graph6 order
+    packed = np.packbits(bits[:, j, i], axis=1)  # first bit highest, zeros after the last
+    pad = 8 * packed.shape[1] - n * (n - 1) // 2
+    return [int.from_bytes(row, "big") >> pad for row in packed.tolist()]
+
+
 def _graph6_body(n: int, adj: tuple[int, ...]) -> int:
     """The upper triangle of the order-n graph with rows ``adj``, as the
     integer ``_graph6_bytes`` packs (x(0,1) most significant)."""

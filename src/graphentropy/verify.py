@@ -150,10 +150,11 @@ class _Extremes:
         return [tag for _, tag in self.ties]
 
 
-def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, list[str], CensusBlock]]:
-    """(rows, graph6 words, block) of each census block's connected classes."""
+def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, np.ndarray, CensusBlock]]:
+    """(rows, graph6 words, block) of each census block's connected classes, as
+    the block's arrays: a caller makes a str only of a word it reports."""
     for block in census(n, workers=workers):
-        yield block.rows[block.connected], block.graph6[block.connected].tolist(), block
+        yield block.rows[block.connected], block.graph6[block.connected], block
 
 
 def _measured(
@@ -162,9 +163,9 @@ def _measured(
     """(rows, graph6 words, float64 ``measure`` of each kept ``spectra`` row)
     of each census block's connected classes, all ``edged`` for n >= 2, as
     arrays: a fold that keeps them holds no str or float object per class."""
-    for rows, _, block in _scan(n, workers):
+    for rows, words, block in _scan(n, workers):
         kept = block.spectra[block.connected[block.edged]].tolist()
-        yield rows, block.graph6[block.connected], np.array([measure(v) for v in kept], dtype=float)
+        yield rows, words, np.array([measure(v) for v in kept], dtype=float)
 
 
 def _degree_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,7 +186,7 @@ def _tr2_at(d_g: np.ndarray, sq: np.ndarray, i: int) -> Fraction:
     return Fraction(int(sq[i] + d_g[i]), int(d_g[i] * d_g[i]))
 
 
-def _offer_tr2(extremes: _Extremes, d_g: np.ndarray, sq: np.ndarray, words: list[str]) -> None:
+def _offer_tr2(extremes: _Extremes, d_g: np.ndarray, sq: np.ndarray, words: Sequence[str]) -> None:
     """Offer the block's classes of largest (or, as ``extremes`` asks,
     smallest) tr2 to an exact tracker, in block order. From the first class,
     int64 cross-multiplication (products below 10^9 at n <= 16) moves on to
@@ -197,7 +198,7 @@ def _offer_tr2(extremes: _Extremes, d_g: np.ndarray, sq: np.ndarray, words: list
         i = int(past[0])
     value = _tr2_at(d_g, sq, i)
     for j in np.flatnonzero(num * den[i] == num[i] * den).tolist():
-        extremes.offer(value, words[j])
+        extremes.offer(value, str(words[j]))
 
 
 def _star_ceilings(n: int) -> np.ndarray:
@@ -446,7 +447,7 @@ def table1_row(n: int, workers: int = 1) -> tuple[int, int, tuple[str, ...]]:
     for rows, words, _ in _scan(n, workers):
         _, d_g, sq = _degree_sums(rows)
         total += len(words)
-        failing += [words[i] for i in np.flatnonzero(sq > ceilings[d_g // 2]).tolist()]
+        failing += words[sq > ceilings[d_g // 2]].tolist()
     return len(failing), total, tuple(failing)
 
 
@@ -495,7 +496,7 @@ def edge_add_decrease_search(
     graphs = (
         (Graph(n, tuple(adj)), degs, sum(degs), g6)
         for rows, words, _ in _scan(n, workers)
-        for adj, degs, g6 in zip(rows.tolist(), _degree_sums(rows)[0].tolist(), words)
+        for adj, degs, g6 in zip(rows.tolist(), _degree_sums(rows)[0].tolist(), words.tolist())
     )
     for g, degs, d, g6 in graphs:
         classes += 1
@@ -714,7 +715,7 @@ def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
         dense += int(d_ok.sum())
         star_pass += int(s_ok.sum())
         for i in np.flatnonzero(s_ok & ~d_ok).tolist():
-            converse_fails.add(words[i])
+            converse_fails.add(str(words[i]))
     stats = {
         "classes": classes,
         "density_pass": dense,

@@ -2,7 +2,8 @@
 
 Each value is the first 16 hex digits of a sha256 recorded on the code
 before the fold or generation step it guards was rewritten: the enumeration
-streams (graph6 word plus newline per class) and the stdout of every
+streams (graph6 word plus newline per class), against which the words the
+census blocks derive from their rows are hashed too, and the stdout of every
 census-backed CLI command at n = 7 and n = 8, the tree stream for n = 1..16,
 the canonical bytes of trees and relabeled graphs (up to n = 16 for random
 non-forests), and the stdout of tree-extremes at n = 12 and 15. A change to
@@ -22,6 +23,7 @@ from graphentropy import enumeration
 from graphentropy.cli import main
 from graphentropy.enumeration import (
     canonical_form,
+    census,
     clear_census,
     enumerate_graphs,
     enumerate_trees,
@@ -35,12 +37,19 @@ def digest(text):
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
+def census_words(n, connected):
+    # the census's own graph6 column, which each block derives from its rows
+    words = (block.graph6[block.connected] if connected else block.graph6 for block in census(n))
+    return "".join(w + "\n" for column in words for w in column.tolist())
+
+
 @pytest.mark.parametrize(
     "connected, expected", [(False, "7b567b745b1badf2"), (True, "f4f4ab04bd49208d")]
 )
 def test_enumeration_stream_fingerprint(connected, expected):
     stream = "".join(write_graph6(g) + "\n" for g in enumerate_graphs(7, connected_only=connected))
     assert digest(stream) == expected
+    assert digest(census_words(7, connected)) == expected
 
 
 def test_enumeration_stream_fingerprint_order_8():
@@ -52,6 +61,8 @@ def test_enumeration_stream_fingerprint_order_8():
             connected.update(line)
     assert every.hexdigest()[:16] == "b5651e28ae739a5d"
     assert connected.hexdigest()[:16] == "00ef3b6950f5e39e"
+    assert digest(census_words(8, False)) == "b5651e28ae739a5d"
+    assert digest(census_words(8, True)) == "00ef3b6950f5e39e"
 
 
 @pytest.mark.skipif(
@@ -66,6 +77,7 @@ def test_enumeration_stream_fingerprint_order_9():
         classes += 1
     assert classes == 274668
     assert stream.hexdigest()[:16] == "4e21f6f8d60ae3b6"
+    assert digest(census_words(9, False)) == "4e21f6f8d60ae3b6"
 
 
 def test_canonical_bytes_fingerprint():

@@ -29,6 +29,9 @@ from graphentropy.graphs import (
     star,
     write_graph6,
     _bit_vertices,
+    _graph6_bodies,
+    _graph6_bytes,
+    _row_bits,
 )
 from graphentropy.entropy import tr2
 from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
@@ -336,6 +339,18 @@ def test_graph6_roundtrip_random():
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         back = parse_graph6(write_graph6(g))
         assert back.n == g.n and back.adj == g.adj
+
+
+def test_stacked_graph6_bodies_match_the_reference_words():
+    # census blocks pack their words this way; bodies pass 64 bits from n = 12
+    # on, and must not wrap at any order a block of rows can hold
+    rng = random.Random(17)
+    for n in list(range(1, 17)) + [33, 62, 63, 64]:
+        graphs_ = [random_graph(rng, n, rng.uniform(0.05, 0.95)) for _ in range(24)]
+        graphs_ += [empty_graph(n), complete(n)]
+        rows = np.array([g.adj for g in graphs_], dtype=np.min_scalar_type((1 << n) - 1))
+        words = [_graph6_bytes(n, b).decode("ascii") for b in _graph6_bodies(_row_bits(rows))]
+        assert words == [reference_write_graph6(g) for g in graphs_]
 
 
 def test_graph6_large_orders():

@@ -309,6 +309,25 @@ def test_renyi_max_bound_attained_by_complete_graph():
         assert len(zeros) == 1 and parse_graph6(zeros[0]).m == 1
 
 
+@pytest.mark.parametrize("shift", [1e-6, 0.5])
+def test_renyi_max_raises_when_a_class_passes_the_bound(monkeypatch, shift):
+    # K_n attains log2(n - 1), so lifting every value by more than 1e-9 passes it
+    def lifted(vals, alpha):
+        return renyi_entropy(vals, alpha) + shift
+
+    monkeypatch.setattr(verify, "renyi_entropy", lifted)
+    with pytest.raises(TheoremViolation, match=r"exceeds log2\(5-1\)"):
+        verify_renyi_max(5, 2.0)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0], ids=["every-class-zero", "no-class-zero"])
+def test_renyi_max_raises_unless_only_k2_plus_isolates_is_zero(monkeypatch, value):
+    # both values stay under log2(4) = 2, so only the zero-entropy statement fails
+    monkeypatch.setattr(verify, "renyi_entropy", lambda vals, alpha: value)
+    with pytest.raises(TheoremViolation, match="expected exactly K2 \\+ isolates"):
+        verify_renyi_max(5, 2.0)
+
+
 def test_renyi_max_validation(monkeypatch):
     with pytest.raises(ValueError):
         verify_renyi_max(5, 1.0)
@@ -369,6 +388,22 @@ def test_edge_add_calls_one_spectrum_per_graph_and_pair(monkeypatch):
     classes = list(enumerate_graphs(6, connected_only=True))
     pairs = sum(len(g.non_edges()) for g in classes)
     assert calls == {"density_spectrum": len(classes) + pairs, "add_edge": pairs}
+
+
+def test_edge_add_raises_below_the_proved_lower_bound(monkeypatch):
+    # every G + e replaced by K2 plus isolates, whose entropy is 0, which is
+    # below (d/(d+2)) S(G) for every connected G on 5 vertices
+    monkeypatch.setattr(verify, "add_edge", lambda g, u, v: from_edges(g.n, [(0, 1)]))
+    with pytest.raises(TheoremViolation, match=r"fell below \(d/\(d\+2\)\)S\(G\)"):
+        edge_add_decrease_search(5)
+
+
+def test_edge_add_raises_without_the_k2n2_witness(monkeypatch):
+    # one entropy for every graph: no pair decreases, and every margin is
+    # 2/(d+2) > 0, so only the missing K_{2,3} + e witness can raise
+    monkeypatch.setattr(verify, "shannon_entropy", lambda vals: 1.0)
+    with pytest.raises(TheoremViolation, match=r"K_\{2,3\}, e\) did not appear"):
+        edge_add_decrease_search(5)
 
 
 def test_edge_add_validation():
@@ -552,7 +587,8 @@ def test_reach_step_gives_components_and_diameters():
         assert np.array_equal(bits, bits.transpose(0, 2, 1))
         connected = [is_connected(g) for g in graphs_]
         assert (reach[:, 0] == (1 << n) - 1).tolist() == connected
-        block = enumeration.CensusBlock(rows, np.array([write_graph6(g) for g in graphs_]))
+        block = enumeration.CensusBlock(rows)
+        assert block.graph6.tolist() == [write_graph6(g) for g in graphs_]
         assert block.connected.tolist() == connected
         linked = [g for g, c in zip(graphs_, connected) if c]
         assert verify._diameters(rows[block.connected]).tolist() == [diameter(g) for g in linked]
@@ -702,6 +738,14 @@ def test_density_pass_forces_star_pass():
         )
         assert res.stats["density_pass"] == dense
         assert res.stats["star_pass"] >= dense
+
+
+def test_density_implies_star_raises_when_a_dense_class_fails_the_star_test(monkeypatch):
+    # a density test that passes every m marks the 8 star-test failures at
+    # n = 6 as dense too
+    monkeypatch.setattr(verify, "density_test", lambda n, m: True)
+    with pytest.raises(TheoremViolation, match="passes the density test but fails the star test"):
+        verify_density_implies_star(6)
 
 
 # --- result plumbing ------------------------------------------------------------------
