@@ -574,25 +574,22 @@ def _shard_work(args: tuple[tuple[int, ...], int]) -> np.ndarray:
     return np.array(rows, dtype=np.min_scalar_type((1 << n) - 1))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False, workers: int = 1) -> Iterator[Graph]:
+def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices, one per isomorphism class.
 
-    Streaming and deterministic: the sequence is identical for any
-    ``workers`` value; with ``workers`` > 1 and n >= 6 it reads the shard
-    stream the sharded ``census`` reads. Orders up to 10 are practical (the
-    counts grow as 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168);
-    beyond that the pure-Python search is honest but slow. ``connected_only``
-    filters the same stream, so it saves no generation work.
+    Streaming and deterministic: one ``_walk`` from K_1 in this process, whose
+    order-n classes come out in emission order (the sharded ``census`` keeps
+    that order). Orders up to 10 are practical (the counts grow as 1, 2, 4,
+    11, 34, 156, 1044, 12346, 274668, 12005168); beyond that the pure-Python
+    search is honest but slow. ``connected_only`` filters the same stream, so
+    it saves no generation work.
     """
     _check_order(n)
-    if workers > 1 and n >= _SHARD_MIN:
-        adjs = (adj for rows in _parallel(n, workers) for adj in map(tuple, rows.tolist()))
-    else:
-        adjs = (adj for adj in _walk([_K1], n) if len(adj) == n)
-    for adj in adjs:
-        g = Graph(n, adj)
-        if not connected_only or is_connected(g):
-            yield g
+    for adj in _walk([_K1], n):
+        if len(adj) == n:
+            g = Graph(n, adj)
+            if not connected_only or is_connected(g):
+                yield g
 
 
 def _parallel(n: int, workers: int) -> Iterator[np.ndarray]:

@@ -2,15 +2,19 @@
 
 Every graph engine folds over the census of one order n (kept orders are
 walked once per process, whatever the order of the calls), the tree engine
-over the tree generator; each checks one claim and returns a
-``VerificationResult``. The spectral engines read the density spectra each
-census block keeps (the connected classes' through ``_measured``), so a kept
-order's spectra are solved once per process, by the first engine that asks;
-``coentropy_search`` re-solves only its runs' rows. The engines that read
-only degrees never solve: they read int64 degree sums per block
-(``_degree_sums``), test them against per-m star and density tables, and
-compare tr2 by int64 cross-multiplication, making a Fraction only for a
-value they report. Two kinds of claim are treated differently, on purpose:
+over blocks of the tree generator (``_tree_blocks``); each checks one claim
+and returns a ``VerificationResult``. Every fold takes a block at a time: a
+running extreme (``_Extremes``) and a capped witness list (``_Witnesses``)
+are offered a block's values and words as arrays, and one exact tr2 fold
+(``_tr2_extremes``) serves both H_2 scans. The spectral engines read the
+density spectra each census block keeps (the connected classes' through
+``_measured``), so a kept order's spectra are solved once per process, by
+the first engine that asks; ``coentropy_search`` re-solves only its runs'
+rows. The engines that read only degrees never solve: they read int64
+degree sums per block (``_degree_sums``), test them against per-m star and
+density tables, and compare tr2 by int64 cross-multiplication, making a
+Fraction only for a value they report. Two kinds of claim are treated
+differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
   uniqueness, the Renyi maximum bound, the edge-addition lower bound) are
@@ -34,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .entropy import (
     star_entropy_closed,
 )
 from .enumeration import (
-    CANON_MAX, CENSUS_BLOCK, CensusBlock, _reach_step, canonical_form, census, enumerate_trees
+    CANON_MAX, CENSUS_BLOCK, _reach_step, canonical_form, census, enumerate_trees
 )
 from .graphs import Graph, add_edge, matching_number, parse_graph6
 from .spectral import density_spectra, density_spectrum
@@ -95,15 +99,11 @@ class _Witnesses:
         self.count = 0
         self.kept: list = []
 
-    def wants(self) -> bool:
-        """Count one witness; True while fewer than ``cap`` are kept, so a
-        caller builds only the items it keeps."""
-        self.count += 1
-        return len(self.kept) < self.cap
-
-    def add(self, item: object) -> None:
-        if self.wants():
-            self.kept.append(item)
+    def add(self, items: Sequence) -> None:
+        """Count one block's witnesses (an array of words or a list), in scan
+        order, and keep them while fewer than ``cap`` are kept."""
+        self.count += len(items)
+        self.kept += np.asarray(items[: self.cap - len(self.kept)], dtype=object).tolist()
 
 
 def _result(
@@ -124,48 +124,51 @@ def _result(
 
 
 class _Extremes:
-    """Track a running min (or max) plus everything tied within eps, in scan
-    order. With eps=0, Fraction values are compared exactly."""
+    """A running min (or max) of blocks of values, and every value offered
+    within eps of the final one, in scan order. With eps=0, Fraction values
+    (object arrays) are compared exactly."""
 
     def __init__(self, biggest: bool = False, eps: float = EPS) -> None:
         self.biggest = biggest
         self.eps = eps
-        self.value: float | None = None
-        self.limit = math.inf  # value + eps: offers up to it are ties
-        self.ties: list[tuple[float, str]] = []
+        self.limit = math.inf  # the signed extreme + eps: values up to it are ties
+        self.ties: list[tuple[object, str]] = []
 
-    def offer(self, value: float, tag: str) -> None:
-        v = -value if self.biggest else value
-        if self.value is None or v < self.value:
-            self.value, self.limit = v, v + self.eps
+    def offer(self, values: np.ndarray, tags: np.ndarray) -> None:
+        """Offer one block's values and tags, in scan order: those within eps of
+        the running extreme join the ties, and a lower extreme cuts the ties."""
+        signed = -values if self.biggest else values
+        if len(signed) and (low := signed.min()) + self.eps < self.limit:
+            self.limit = low + self.eps
             self.ties = [t for t in self.ties if (-t[0] if self.biggest else t[0]) <= self.limit]
-        if v <= self.limit:
-            self.ties.append((value, tag))
+        keep = signed <= self.limit
+        self.ties += zip(values[keep].tolist(), tags[keep].tolist())
 
-    def best(self) -> float:
-        assert self.value is not None
-        return -self.value if self.biggest else self.value
+    def best(self) -> object:
+        """The extreme, as a Python float or the exact Fraction."""
+        return (max if self.biggest else min)(value for value, _ in self.ties)
 
     def tags(self) -> list[str]:
         return [tag for _, tag in self.ties]
 
 
-def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, np.ndarray, CensusBlock]]:
-    """(rows, graph6 words, block) of each census block's connected classes, as
-    the block's arrays: a caller makes a str only of a word it reports."""
+def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, graph6 words) of each census block's connected classes, as the
+    block's arrays: a caller makes a str only of a word it reports."""
     for block in census(n, workers=workers):
-        yield block.rows[block.connected], block.graph6[block.connected], block
+        yield block.rows[block.connected], block.graph6[block.connected]
 
 
 def _measured(
     n: int, workers: int, measure: Callable[[Sequence[float]], float]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, graph6 words, float64 ``measure`` of each kept ``spectra`` row)
-    of each census block's connected classes, all ``edged`` for n >= 2, as
+    of each ``census`` block's connected classes, all ``edged`` for n >= 2, as
     arrays: a fold that keeps them holds no str or float object per class."""
-    for rows, words, block in _scan(n, workers):
+    for block in census(n, workers=workers):
         kept = block.spectra[block.connected[block.edged]].tolist()
-        yield rows, words, np.array([measure(v) for v in kept], dtype=float)
+        values = np.array([measure(v) for v in kept], dtype=float)
+        yield block.rows[block.connected], block.graph6[block.connected], values
 
 
 def _degree_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,19 +189,30 @@ def _tr2_at(d_g: np.ndarray, sq: np.ndarray, i: int) -> Fraction:
     return Fraction(int(sq[i] + d_g[i]), int(d_g[i] * d_g[i]))
 
 
-def _offer_tr2(extremes: _Extremes, d_g: np.ndarray, sq: np.ndarray, words: Sequence[str]) -> None:
-    """Offer the block's classes of largest (or, as ``extremes`` asks,
-    smallest) tr2 to an exact tracker, in block order. From the first class,
-    int64 cross-multiplication (products below 10^9 at n <= 16) moves on to
-    the first class past the current one until none is, then finds its ties."""
-    num, den = sq + d_g, d_g * d_g
-    sign = 1 if extremes.biggest else -1
-    i = 0
-    while (past := np.flatnonzero(sign * (num * den[i] - num[i] * den) > 0)).size:
-        i = int(past[0])
-    value = _tr2_at(d_g, sq, i)
-    for j in np.flatnonzero(num * den[i] == num[i] * den).tolist():
-        extremes.offer(value, str(words[j]))
+def _tr2_extremes(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[int, Fraction | None, _Extremes, _Extremes]:
+    """(classes, the star's tr2 or None, exact trackers of the largest and the
+    smallest tr2) over (rows, words) blocks of connected classes. Per block and
+    tracker, int64 cross-multiplication (products below 10^9 at n <= 16) moves
+    from the first class to the first class past the current one until none
+    is, then offers its ties; a Fraction is made only for that value and the star's."""
+    classes, star = 0, None
+    trackers = _Extremes(biggest=True, eps=0), _Extremes(eps=0)
+    for rows, words in blocks:
+        degs, d_g, sq = _degree_sums(rows)
+        classes += len(words)
+        for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
+            star = _tr2_at(d_g, sq, i)
+        num, den = sq + d_g, d_g * d_g
+        for extremes in trackers:
+            sign = 1 if extremes.biggest else -1
+            i = 0
+            while (past := np.flatnonzero(sign * (num * den[i] - num[i] * den) > 0)).size:
+                i = int(past[0])
+            ties = num * den[i] == num[i] * den
+            extremes.offer(np.full(ties.sum(), _tr2_at(d_g, sq, i), dtype=object), words[ties])
+    return classes, star, *trackers
 
 
 def _star_ceilings(n: int) -> np.ndarray:
@@ -250,10 +264,8 @@ def _star_min_scan(
     classes = 0
     for _, words, values in _measured(n, workers, measure):
         classes += len(words)
-        for h, g6 in zip(values.tolist(), words.tolist()):
-            extremes.offer(h, g6)
-            if h < target - EPS:
-                found.add(g6)
+        extremes.offer(values, words)
+        found.add(words[values < target - EPS])
     stats = {
         "classes": classes,
         **params,
@@ -264,21 +276,34 @@ def _star_min_scan(
     return _result(claim, n, t0, stats, found.count == 0, extremes.tags(), found.kept)
 
 
+def _tree_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(uint16 adjacency rows, canonical words) of the trees on n vertices,
+    ``TREE_BLOCK`` at a time in ``enumerate_trees`` order, whose first tree is
+    the path (TheoremViolation if it has a degree above 2). Each tree is
+    canonicalized by one ``canonical_form`` call: WROM labels are not canonical."""
+    trees = enumerate_trees(n)
+    first = True
+    while block := list(itertools.islice(trees, TREE_BLOCK)):
+        rows = np.array([g.adj for g in block], dtype=np.uint16)
+        if first and np.bitwise_count(rows[0]).max() > 2:
+            raise TheoremViolation(f"the first tree on {n} vertices is not the path")
+        first = False
+        yield rows, np.array([canonical_form(g) for g in block])
+
+
 def verify_tree_extremes(
     n: int, entropy: str = "S", witness_cap: int = DEFAULT_WITNESS_CAP
 ) -> VerificationResult:
     """Star-minimum and path-maximum entropy over all trees on n vertices.
 
-    ``entropy="H2"``: exact rational tr2 comparison; star unique minimum and
-    path unique maximum are proved, so any failure raises TheoremViolation.
-    ``entropy="S"``: floating scan reporting whether the path is the unique
-    maximizer (open statement); trees tying or beating the path are
-    witnesses. One pass over ``enumerate_trees``, which yields the path first
-    (TheoremViolation if its first tree has a degree above 2): the path's value
-    is known before any other tree arrives, so each tree is decided as it
-    comes and none is kept. Trees are stacked ``TREE_BLOCK`` at a time as uint16
-    adjacency rows, which give the degrees for H2 and one ``density_spectra``
-    call for S. Above ``CANON_MAX`` it raises ValueError before making a tree.
+    ``entropy="H2"``: exact rational tr2 comparison by ``_tr2_extremes``; star
+    unique minimum and path unique maximum are proved, so any failure raises
+    TheoremViolation. ``entropy="S"``: floating scan reporting whether the
+    path is the unique maximizer (open statement); trees tying or beating the
+    path are witnesses. Both read one pass of ``_tree_blocks``, whose first
+    tree is the path, so each block is decided as it comes and none is kept:
+    H2 from its rows' degrees, S by one ``density_spectra`` call. Above
+    ``CANON_MAX`` it raises ValueError before making a tree.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -288,36 +313,9 @@ def verify_tree_extremes(
         raise ValueError("entropy must be 'S' or 'H2'")
     found = _Witnesses(witness_cap)
     t0 = time.perf_counter()
-    exact = entropy == "H2"
-    top = _Extremes(biggest=True, eps=0 if exact else EPS)
-    bottom = _Extremes(eps=0 if exact else EPS)
-    classes = 0
-    trees = enumerate_trees(n)
-    while block := list(itertools.islice(trees, TREE_BLOCK)):
-        adjs = np.array([g.adj for g in block], dtype=np.uint16)
-        if classes == 0 and np.bitwise_count(adjs[0]).max() > 2:
-            raise TheoremViolation(f"the first tree on {n} vertices is not the path")
-        words = [canonical_form(g) for g in block]  # WROM labels are not canonical
-        if exact:
-            degs, d_g, sq = _degree_sums(adjs)
-            if classes == 0:
-                path_value = _tr2_at(d_g, sq, 0)
-            for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
-                star_value = _tr2_at(d_g, sq, i)
-            _offer_tr2(top, d_g, sq, words)
-            _offer_tr2(bottom, d_g, sq, words)
-            classes += len(block)
-            continue
-        values = [shannon_entropy(vals) for vals in density_spectra(adjs).tolist()]
-        if classes == 0:
-            path_value = values[0]
-        for value, g6 in zip(values, words):
-            if classes and value >= path_value - EPS:  # ties or beats the path
-                found.add(g6)
-            classes += 1
-            top.offer(value, g6)
-            bottom.offer(value, g6)
-    if exact:
+    if entropy == "H2":
+        classes, star_value, top, bottom = _tr2_extremes(_tree_blocks(n))
+        path_value = Fraction(6 * n - 8, (2 * n - 2) ** 2)  # degrees 1, 2, ..., 2, 1
         # smaller tr2 = larger H_2. Star must have the strictly largest tr2,
         # path the strictly smallest, over all trees.
         trees_n = f"among trees on {n} vertices"
@@ -333,6 +331,17 @@ def verify_tree_extremes(
         return _result("tree-extremes", n, t0, stats, extremal_graphs=extremal, universe="trees")
 
     # entropy == "S": is the path the unique maximizer of S among trees?
+    top, bottom = _Extremes(biggest=True), _Extremes()
+    classes = 0
+    for rows, words in _tree_blocks(n):
+        values = np.array([shannon_entropy(vals) for vals in density_spectra(rows).tolist()])
+        if classes == 0:
+            path_value = float(values[0])
+        ties = words[values >= path_value - EPS]  # ties or beats the path
+        found.add(ties[1:] if classes == 0 else ties)  # the path itself comes first
+        classes += len(words)
+        top.offer(values, words)
+        bottom.offer(values, words)
     stats = {
         "classes": classes,
         "path_entropy": path_value,
@@ -373,15 +382,7 @@ def verify_renyi_star_min(
             workers,
         )
     t0 = time.perf_counter()
-    classes = 0
-    star_t: Fraction | None = None
-    most = _Extremes(biggest=True, eps=0)
-    for rows, words, _ in _scan(n, workers):
-        degs, d_g, sq = _degree_sums(rows)
-        classes += len(words)
-        for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
-            star_t = _tr2_at(d_g, sq, i)
-        _offer_tr2(most, d_g, sq, words)
+    classes, star_t, most, _ = _tr2_extremes(_scan(n, workers))
     msg = f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
     _strict_extreme(most, star_t, msg)
     stats = {
@@ -410,14 +411,15 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     zero_graphs: list[str] = []
     classes = 0
     for block in census(n, workers=workers):  # the one engine that reads disconnected classes
-        for vals, g6 in zip(block.spectra.tolist(), block.graph6[block.edged].tolist()):
-            classes += 1
-            h = renyi_entropy(vals, alpha)
-            if h > bound + EPS:
-                raise TheoremViolation(f"H_{alpha}({g6}) = {h} exceeds log2({n}-1) = {bound}")
-            top.offer(h, g6)
-            if h <= EPS:
-                zero_graphs.append(g6)
+        words = block.graph6[block.edged]
+        h = np.array([renyi_entropy(vals, alpha) for vals in block.spectra.tolist()])
+        classes += len(h)
+        over = np.flatnonzero(h > bound + EPS)
+        if over.size:
+            g6, value = words[over[0]], h[over[0]]
+            raise TheoremViolation(f"H_{alpha}({g6}) = {value} exceeds log2({n}-1) = {bound}")
+        top.offer(h, words)
+        zero_graphs += words[h <= EPS].tolist()
     # zero entropy forces rank-1 Laplacian, i.e. exactly one edge, and the
     # single-edge graph (K2 plus isolates) is one isomorphism class
     if not (len(zero_graphs) == 1 and parse_graph6(zero_graphs[0]).m == 1):
@@ -444,7 +446,7 @@ def table1_row(n: int, workers: int = 1) -> tuple[int, int, tuple[str, ...]]:
     ceilings = _star_ceilings(n)
     total = 0
     failing: list[str] = []
-    for rows, words, _ in _scan(n, workers):
+    for rows, words in _scan(n, workers):
         _, d_g, sq = _degree_sums(rows)
         total += len(words)
         failing += words[sq > ceilings[d_g // 2]].tolist()
@@ -495,13 +497,14 @@ def edge_add_decrease_search(
     min_bound_margin = math.inf
     graphs = (
         (Graph(n, tuple(adj)), degs, sum(degs), g6)
-        for rows, words, _ in _scan(n, workers)
+        for rows, words in _scan(n, workers)
         for adj, degs, g6 in zip(rows.tolist(), _degree_sums(rows)[0].tolist(), words.tolist())
     )
     for g, degs, d, g6 in graphs:
         classes += 1
         s_before = shannon_entropy(density_spectrum(g))
         is_k2n2 = n >= 4 and sorted(degs) == [2] * (n - 2) + [n - 2, n - 2]
+        decreases = []
         for u, v in g.non_edges():
             h = add_edge(g, u, v)
             s_after = shannon_entropy(density_spectrum(h))
@@ -513,12 +516,12 @@ def edge_add_decrease_search(
                     f"S(G+e) fell below (d/(d+2))S(G) for G={g6}, e=({u},{v})"
                 )
             if s_after < s_before - EPS:
-                if found.wants():
-                    found.kept.append(
-                        {"graph6": g6, "edge": [u, v], "S_before": s_before, "S_after": s_after}
-                    )
+                decreases.append(
+                    {"graph6": g6, "edge": [u, v], "S_before": s_before, "S_after": s_after}
+                )
                 if is_k2n2 and degs[u] == n - 2 and degs[v] == n - 2:
                     k2n2_found = True
+        found.add(decreases)
     if n >= 5 and not k2n2_found:
         raise TheoremViolation(
             f"the proved decrease witness (K_{{2,{n-2}}}, e) did not appear at n={n}"
@@ -702,7 +705,7 @@ def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
     dense = 0
     star_pass = 0
     converse_fails = _Witnesses(10)
-    for rows, words, _ in _scan(n, workers):
+    for rows, words in _scan(n, workers):
         _, d_g, sq = _degree_sums(rows)
         classes += len(words)
         d_ok = dense_m[d_g // 2]
@@ -714,8 +717,7 @@ def verify_density_implies_star(n: int, workers: int = 1) -> VerificationResult:
             )
         dense += int(d_ok.sum())
         star_pass += int(s_ok.sum())
-        for i in np.flatnonzero(s_ok & ~d_ok).tolist():
-            converse_fails.add(str(words[i]))
+        converse_fails.add(words[s_ok & ~d_ok])
     stats = {
         "classes": classes,
         "density_pass": dense,

@@ -3,7 +3,8 @@
 Nothing here shares code with the package internals: isomorphism classes are
 computed by permuting labeled edge masks, Laplacians by one bit test per
 entry, graph validity by a walk over every vertex pair, matchings by trying
-all edge subsets, equitable partitions by re-scanning every cell for every
+all edge subsets, running extremes and capped witness lists one item at a
+time, equitable partitions by re-scanning every cell for every
 splitter, canonical searches by walking every leaf of the
 individualization-refinement tree, graph6 words by appending one triangle
 bit at a time (in any vertex order) and read back the same way, attachment
@@ -319,6 +320,33 @@ def brute_param_pairs(rows: list[tuple[int, float, str]], cap: int, eps: float =
                 if len(rises) < cap:
                     rises.append((g1, g2))
     return drops, rises, drop_count, rise_count
+
+
+def reference_extremes(values: Sequence, tags: Sequence[str], biggest: bool, eps: float):
+    """(extreme, ties) of values offered one at a time, in scan order: a value
+    below the running minimum (above the maximum, if ``biggest``) becomes it,
+    and the ties kept so far are then cut to those within eps of it; each
+    value within eps of the running extreme when offered is appended."""
+    best = None
+    ties: list[tuple[object, str]] = []
+    for value, tag in zip(values, tags):
+        if best is None or (value > best if biggest else value < best):
+            best = value
+            ties = [t for t in ties if (best - t[0] if biggest else t[0] - best) <= eps]
+        if (best - value if biggest else value - best) <= eps:
+            ties.append((value, tag))
+    return best, [tag for _, tag in ties]
+
+
+def reference_witnesses(items: Sequence, cap: int) -> tuple[int, list]:
+    """(count, kept) of items added one at a time, each kept while fewer than
+    ``cap`` are."""
+    count, kept = 0, []
+    for item in items:
+        count += 1
+        if len(kept) < cap:
+            kept.append(item)
+    return count, kept
 
 
 def reference_laplacian(g: Graph) -> list[list[int]]:

@@ -168,7 +168,10 @@ def test_tree_stream_fingerprint():
         ("verify renyi-star-min --n 7 --alpha 1.5", "501e4c91ec3a3a1f"),
         ("verify renyi-star-min --n 7 --alpha 2", "a786770fc7f59c23"),
         ("verify renyi-star-min --n 8 --alpha 2", "4175d2c6587c3634"),
+        ("verify renyi-star-min --n 8 --alpha 1.5", "624ee89f9e2e7e33"),
         ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
+        ("verify renyi-max --n 8 --alpha 3", "4c52f5ab083106c3"),
+        ("verify renyi-max --n 5 --alpha inf", "f6323e3a3be702ec"),
         ("verify coentropy --n 7", "5ab8b2b9266c8aee"),
         ("verify coentropy --n 8", "08d0f119e2e55fe1"),  # n = 7 has no group
         ("verify param-compare --n 7 --param matching", "eb5633493113a9c7"),

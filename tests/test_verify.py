@@ -61,7 +61,7 @@ from graphentropy.verify import (
     verify_tree_extremes,
 )
 
-from _oracles import brute_param_pairs
+from _oracles import brute_param_pairs, reference_extremes, reference_witnesses
 
 # star-test failure counts over connected graphs, by order
 FAILURE_ROWS = {2: (0, 1), 3: (1, 2), 4: (2, 6), 5: (4, 21), 6: (8, 112), 7: (16, 853)}
@@ -767,3 +767,95 @@ def test_result_invariant_enforced():
 
 def test_theorem_violation_is_runtime_error():
     assert issubclass(TheoremViolation, RuntimeError)
+
+
+# --- block folds ----------------------------------------------------------------------
+
+
+def _random_blocks(rng, items):
+    """``items`` cut at random borders into consecutive blocks, some empty."""
+    cuts = sorted(rng.randrange(len(items) + 1) for _ in range(rng.randrange(1, 7)))
+    return [items[a:b] for a, b in zip([0, *cuts], [*cuts, len(items)])]
+
+
+def _fold_extremes(rng, values, tags, biggest, eps, dtype):
+    extremes = verify._Extremes(biggest=biggest, eps=eps)
+    for block in _random_blocks(rng, list(range(len(values)))):
+        extremes.offer(
+            np.array([values[i] for i in block], dtype=dtype), np.array([tags[i] for i in block])
+        )
+    return extremes
+
+
+@pytest.mark.parametrize("biggest", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("seed", range(25))
+def test_extremes_fold_blocks_as_one_value_at_a_time(seed, biggest):
+    # values on a grid of 0.3 EPS around a level that moves toward the extreme
+    # by 0.45 EPS every 8 values: ties within EPS straddle block borders, and a
+    # later block moves the extreme and cuts earlier ties. Every difference is a
+    # multiple of 0.15 EPS, so none lies within rounding of the tie limit.
+    rng = random.Random(seed)
+    sign = -1 if biggest else 1
+    values = [1.0 + sign * (rng.randrange(6) * 0.3 - i // 8 * 0.45) * verify.EPS for i in range(48)]
+    tags = [f"w{i}" for i in range(len(values))]
+    extremes = _fold_extremes(rng, values, tags, biggest, verify.EPS, float)
+    best, ties = reference_extremes(values, tags, biggest, verify.EPS)
+    assert extremes.tags() == ties
+    assert extremes.best() == best and type(extremes.best()) is float
+
+
+@pytest.mark.parametrize("biggest", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("seed", range(10))
+def test_extremes_fold_fraction_blocks_exactly(seed, biggest):
+    rng = random.Random(seed)
+    sign = -1 if biggest else 1
+    # 0/1 and 0/2 (1/1 and 2/2) are one value: ties are equal values, however written
+    values = [
+        Fraction(rng.randrange(3), rng.randrange(1, 3)) - sign * Fraction(i // 10, 2)
+        for i in range(40)
+    ]
+    tags = [f"w{i}" for i in range(len(values))]
+    extremes = _fold_extremes(rng, values, tags, biggest, 0, object)
+    best, ties = reference_extremes(values, tags, biggest, 0)
+    assert extremes.tags() == ties
+    assert extremes.best() == best and type(extremes.best()) is Fraction
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 100])
+@pytest.mark.parametrize("seed", range(5))
+def test_witnesses_count_every_block_and_keep_the_first_cap(seed, cap):
+    # word arrays and plain lists, as the scans add them; 100 is above every count
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(rng.randrange(20, 40))]
+    found = verify._Witnesses(cap)
+    for block in _random_blocks(rng, words):
+        found.add(np.array(block, dtype=str) if rng.random() < 0.5 else block)
+    assert (found.count, found.kept) == reference_witnesses(words, cap)
+    assert all(type(w) is str for w in found.kept)
+
+
+def test_every_scan_offers_and_adds_once_per_block(monkeypatch):
+    calls = {"offer": 0, "add": 0}
+    for cls, name in ((verify._Extremes, "offer"), (verify._Witnesses, "add")):
+
+        def counted(self, *args, real=getattr(cls, name), name=name):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    blocks = len(list(census(7)))  # 1044 classes
+    trees = -(-551 // verify.TREE_BLOCK)  # trees on 12 vertices
+    scans = [
+        (lambda: verify_star_min_von_neumann(7), blocks, blocks),
+        (lambda: verify_renyi_star_min(7, 1.5), blocks, blocks),
+        (lambda: verify_renyi_star_min(7, 2.0), 2 * blocks, 0),
+        (lambda: verify_renyi_max(7, 3.0), blocks, 0),
+        (lambda: verify_density_implies_star(7), 0, blocks),
+        (lambda: verify_tree_extremes(12), 2 * trees, trees),
+        (lambda: verify_tree_extremes(12, "H2"), 2 * trees, 0),
+        (lambda: edge_add_decrease_search(5), 0, 21),  # one block per G: 21 connected
+    ]
+    for scan, offers, adds in scans:
+        calls.update(offer=0, add=0)
+        scan()
+        assert calls == {"offer": offers, "add": adds}
