@@ -12,12 +12,12 @@ partition just refined, so its members' counts into any such cell already
 agree, in this and every finer partition, and skipping those no-op splitters
 changes neither the splits that act nor their order. Every leaf of that
 search tree is a vertex ordering; the canonical ordering is the leaf whose
-upper-triangle adjacency bits (in graph6 column order) are lexicographically
-smallest, the graph relabeled by it (``_relabel``) is the canonical
-representative, and its graph6 encoding, read off the relabeled rows by
-``graphs._graph6_body`` and packed by ``graphs._graph6_bytes`` (the one
-encoder ``write_graph6`` also uses), is the canonical graph6 word that
-``canonical_form`` returns as a str. Isomorphic graphs have search trees
+columns (``graphs._columns``, the one owner of the graph6 column order) are
+lexicographically smallest. Those columns, packed by the encoder
+``write_graph6`` also uses (``graphs._graph6_words``), are the canonical
+graph6 word that ``canonical_form`` returns as a str, and read back by
+``graphs._rows`` they are the canonical representative's rows, with no
+relabeling of the graph. Isomorphic graphs have search trees
 that agree up to relabeling, so they get the same word. The minimum is taken
 over the leaves only, not over all n! orderings, so the word is in general
 not the smallest graph6 word of the class. Swapping two twins (vertices
@@ -48,12 +48,13 @@ the new vertex of minimum degree, and orbits are closed over those sets only
 (see ``_attachment_sets``). A child that passes the degree invariant is
 searched once; the automorphisms it returns also decide which of its tied
 vertices still need a deletion search (one per orbit, none in the new
-vertex's orbit; see ``_accepted``), and the same search relabels an accepted
-child. The automorphisms are those the canonical search knew, its twin
-transpositions and those it found between leaves, carried down the DFS in
-the canonical labeling, and relabeled only for the children the walk will
-expand; they may generate a proper subgroup, so the few duplicate children
-left within one parent are dropped by canonical form. The DFS is one
+vertex's orbit; see ``_accepted``), and the same search's columns give an
+accepted child's canonical rows. The automorphisms are those the canonical
+search knew, its twin transpositions and those it found between leaves,
+carried down the DFS in the canonical labeling, and relabeled only for the
+children the walk will expand; they may generate a proper subgroup, so the
+few duplicate children left within one parent are dropped by canonical
+form. The DFS is one
 preorder walk (``_walk``) that yields every node's canonical adjacency, so
 each order's classes come out in emission order; it can start from the
 classes of one order, each searched once (``_root``), as a shard and
@@ -82,12 +83,13 @@ rows only, cut at the same block boundaries however the stream was split.
 No ``Graph`` is built per class and no word travels with the rows: a
 ``CensusBlock`` checks its rows once, by the stacked rule ``density_spectra``
 applies, and derives from them ``graph6`` (each class's upper triangle, read
-column by column from the bits that check expanded and packed by
-``graphs._graph6_bytes``: the word ``write_graph6`` gives the same rows),
-``connected`` and ``edged``. A block solves the density spectra of its
-``edged`` classes on first use (``CensusBlock.spectra``) and keeps them as
-long as it is kept, so the spectral engines share one solve per kept order
-and process, while the scans that read only degrees never solve.
+column by column from the bits that check expanded, and all of the block's
+words made by one ``graphs._graph6_words`` call: the word ``write_graph6``
+gives the same rows), ``connected`` and ``edged``. A block solves the
+density spectra of its ``edged`` classes on first use
+(``CensusBlock.spectra``) and keeps them as long as it is kept, so the
+spectral engines share one solve per kept order and process, while the
+scans that read only degrees never solve.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,11 +105,13 @@ from .graphs import (
     Graph,
     Graph6Error,
     _bit_vertices,
+    _body,
     _check_order,
+    _columns,
     _graph6_bodies,
-    _graph6_body,
-    _graph6_bytes,
+    _graph6_words,
     _row_bits,
+    _rows,
     component_count,
     is_connected,
     parse_graph6,
@@ -208,10 +212,10 @@ def _canon_search(
 ) -> tuple[tuple[int, ...], tuple[int, ...], Auts]:
     """(canonical column encoding, canonical ordering, automorphisms) for the graph.
 
-    The ordering maps position -> original vertex. Column j of an ordering
-    is the j-bit integer whose bits are adjacency between position j and
-    positions 0..j-1 (earliest position most significant), matching graph6
-    bit order, so comparing column tuples compares graph6 bodies. The
+    The ordering maps position -> original vertex. The columns of an
+    ordering are ``graphs._columns``' (the graph6 column order), so comparing
+    column tuples compares graph6 bodies; the search builds each prefix
+    column by the same reversed-position-bit rule, one position at a time. The
     automorphisms (vertex -> vertex) are first the twin transpositions, one
     per consecutive pair of each class of vertices with one open or one
     closed neighbourhood, known before the search and pruning it from the
@@ -231,14 +235,7 @@ def _canon_search(
     root = _refine(adj, [(1 << n) - 1], (0,))
     if len(root) == n:
         perm = [cell.bit_length() - 1 for cell in root]
-        cols = []
-        for j, v in enumerate(perm):
-            av = adj[v]
-            col = 0
-            for u in perm[:j]:
-                col = (col << 1) | ((av >> u) & 1)
-            cols.append(col)
-        return tuple(cols), tuple(perm), []
+        return _columns(adj, perm), tuple(perm), []
     best_cols = [_INF] * n
     best_perm: list[int] | None = None
     auts: Auts = []
@@ -256,19 +253,19 @@ def _canon_search(
                 sigma[u], sigma[v] = v, u
                 auts.append(tuple(sigma))
                 fixed.append(((1 << n) - 1) ^ (1 << u) ^ (1 << v))
-    prefix: list[int] = []
+    bit = [0] * n  # bit[v]: ``_columns``' reversed position bit of v, once v is placed
 
-    def search(cells: list[int]) -> None:
+    def search(cells: list[int], idx: int, placed: int) -> None:
+        """Visit the node whose first ``idx`` cells are singletons, already
+        placed; ``placed`` is their union."""
         nonlocal best_perm
-        added = 0
-        idx = len(prefix)
         pruned = False
         while idx < len(cells) and not cells[idx] & (cells[idx] - 1):
             v = cells[idx].bit_length() - 1
-            av = adj[v]
-            col = 0
-            for u in prefix:
-                col = (col << 1) | ((av >> u) & 1)
+            acc = 0
+            for u in _bit_vertices(adj[v] & placed):
+                acc |= bit[u]
+            col = acc >> (n - idx)  # column idx of the prefix, as ``_columns`` makes it
             b = best_cols[idx]
             if col > b:
                 pruned = True
@@ -280,17 +277,18 @@ def _canon_search(
                 for j in range(idx + 1, n):
                     best_cols[j] = _INF
                 best_perm = None
-            prefix.append(v)
-            added += 1
+            bit[v] = 1 << (n - 1 - idx)
+            placed |= cells[idx]
             idx += 1
         if not pruned:
             if idx == len(cells):
+                perm = [cell.bit_length() - 1 for cell in cells]
                 if best_perm is None:
-                    best_perm = prefix.copy()
-                elif prefix != best_perm:
+                    best_perm = perm
+                elif perm != best_perm:
                     sigma = [0] * n
                     for pos in range(n):
-                        sigma[best_perm[pos]] = prefix[pos]
+                        sigma[best_perm[pos]] = perm[pos]
                     if len(auts) < _AUT_CAP:
                         auts.append(tuple(sigma))
                         fixed.append(sum(1 << v for v in range(n) if sigma[v] == v))
@@ -298,11 +296,10 @@ def _canon_search(
                 cell = cells[idx]
                 rest = cells[idx + 1:]
                 head = cells[:idx]
-                prefix_mask = sum(head)  # the prefix's singleton cells
                 done: set[int] = set()
                 # automorphisms that fix the current prefix pointwise (its
-                # mask lies inside their fixed points); auts only grows, so
-                # only the ones found since are tested
+                # mask, ``placed``, lies inside their fixed points); auts
+                # only grows, so only the ones found since are tested
                 stable: Auts = []
                 tested = 0
                 for v in _bit_vertices(cell):
@@ -310,48 +307,35 @@ def _canon_search(
                         continue
                     # only {v} and its remainder can split a cell: the rest
                     # are cells of the equitable partition ``cells``
-                    search(_refine(adj, head + [1 << v, cell ^ (1 << v)] + rest, (idx, idx + 1)))
+                    split = head + [1 << v, cell ^ (1 << v)] + rest
+                    search(_refine(adj, split, (idx, idx + 1)), idx, placed)
                     stable += [
-                        auts[i] for i in range(tested, len(auts)) if not prefix_mask & ~fixed[i]
+                        auts[i] for i in range(tested, len(auts)) if not placed & ~fixed[i]
                     ]
                     tested = len(auts)
                     # the tried candidates' orbits under ``stable`` are done
                     done = _orbits(done | {v}, stable)
-        del prefix[len(prefix) - added:]
 
-    search(root)
+    search(root, 0, 0)
     assert best_perm is not None
     return tuple(best_cols), tuple(best_perm), auts
-
-
-def _relabel(n: int, adj: tuple[int, ...], perm: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency of the graph relabeled so position i takes vertex perm[i]."""
-    bit = [0] * n  # bit[v]: vertex v's bit in the new labeling
-    for i, v in enumerate(perm):
-        bit[v] = 1 << i
-    out = []
-    for v in perm:
-        acc = 0
-        for u in _bit_vertices(adj[v]):
-            acc |= bit[u]
-        out.append(acc)
-    return tuple(out)
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 word of g: the smallest leaf encoding, for a forest its
     first leaf. Equal words iff isomorphic graphs.
 
-    The word is ``write_graph6``'s packing of g relabeled by the leaf's
-    ordering: the relabeled rows give the body through the same helper.
+    The word packs the leaf's columns, ``_canon_search``'s own or, for a
+    forest, ``graphs._columns`` of its ordering, as ``write_graph6`` packs the
+    columns of the identity ordering.
     """
     if g.n > CANON_MAX:
         raise ValueError(f"canonical forms are supported for n <= {CANON_MAX}")
     if g.m + component_count(g) == g.n:
-        order = _forest_ordering(g.n, g.adj)
+        cols = _columns(g.adj, _forest_ordering(g.n, g.adj))
     else:
-        _, order, _ = _canon_search(g.n, g.adj)
-    return _graph6_bytes(g.n, _graph6_body(g.n, _relabel(g.n, g.adj, order))).decode("ascii")
+        cols, _, _ = _canon_search(g.n, g.adj)
+    return _graph6_words(g.n, [_body(cols)])[0]
 
 
 def _forest_ordering(n: int, adj: tuple[int, ...]) -> list[int]:
@@ -508,7 +492,8 @@ def _children(
     rejected, with one canonical form), so only one set per orbit is tried,
     and only sets that leave the new vertex of minimum degree
     (``_attachment_sets``). An accepted child's columns, ordering and
-    automorphisms are the search ``_accepted`` ran on it. The automorphisms
+    automorphisms are the search ``_accepted`` ran on it, and its canonical
+    rows are read back from those columns (``graphs._rows``). The automorphisms
     are relabeled into the canonical labeling only if the walk will
     ``expand`` the children; otherwise the children carry none.
     """
@@ -530,7 +515,7 @@ def _children(
                     pos[v] = i
                 # the automorphisms again, in the canonical labeling
                 relabeled = [tuple(pos[sigma[v]] for v in perm) for sigma in cauts]
-            seen[ccols] = (x.bit_count(), (_relabel(nc, child, perm), ccols, relabeled))
+            seen[ccols] = (x.bit_count(), (_rows(ccols), ccols, relabeled))
     # the new vertex's degree is m less the parent's; distinct columns mean
     # distinct adjacencies, so the sort never compares beyond (m, adjacency)
     return [node for _, node in sorted(seen.values())]
@@ -626,7 +611,8 @@ class CensusBlock:
     are checked once for the whole block by the rule ``density_spectra``
     applies (``graphs._row_bits``: no bit at a column >= n, no loop, no
     asymmetric pair, else ValueError); ``graph6[i]``, the word of rows i packed
-    from the bits that check expanded (``graphs._graph6_bodies``),
+    from the bits that check expanded (``graphs._graph6_bodies``, all of the
+    block's words by one ``graphs._graph6_words`` call),
     ``connected[i]``, whether n - 1 ``_reach_step``s from vertex 0 reach all of
     class i, and ``edged[i]``, whether it has an edge, are derived from them.
     All four arrays are read-only. ``spectra`` is solved on first use and then
@@ -641,8 +627,8 @@ class CensusBlock:
     def __post_init__(self) -> None:
         rows = self.rows
         n = rows.shape[1]
-        bodies = _graph6_bodies(_row_bits(rows))
-        object.__setattr__(self, "graph6", np.array([_graph6_bytes(n, b).decode() for b in bodies]))
+        words = _graph6_words(n, _graph6_bodies(_row_bits(rows)))
+        object.__setattr__(self, "graph6", np.array(words))
         reach = np.ones((len(rows), 1), dtype=rows.dtype)  # per class, one source: vertex 0
         for _ in range(n - 1):  # a shortest path from vertex 0 has at most n - 1 edges
             reach = _reach_step(rows, reach)
@@ -762,13 +748,12 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     while levels is not None:  # starts at the path, rooted at its center
         levels = _free_tree_candidate(levels)
         adj = [0] * n
-        ancestors: list[int] = []  # from the root to the previous vertex
-        for v, level in enumerate(levels):
-            del ancestors[level:]
-            if ancestors:
-                adj[v] |= 1 << ancestors[-1]
-                adj[ancestors[-1]] |= 1 << v
-            ancestors.append(v)
+        last = [0] * n  # last[level]: the latest vertex at that level (0: the root)
+        for v in range(1, n):
+            u = last[levels[v] - 1]  # v's parent: the latest vertex one level up
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+            last[levels[v]] = v
         yield Graph(n, tuple(adj))
         levels = _next_rooted_tree(levels)
 
@@ -788,7 +773,7 @@ def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | No
     q = p - 1
     while levels[q] != levels[p] - 1:
         q -= 1
-    return levels[:p] + (levels[q:p] * len(levels))[: len(levels) - p]
+    return levels[:p] + (levels[q:p] * -(-(len(levels) - p) // (p - q)))[: len(levels) - p]
 
 
 def _free_tree_candidate(levels: list[int]) -> list[int]:

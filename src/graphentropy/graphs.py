@@ -11,7 +11,8 @@ matrix it solves.
 
 Also here: the graph6 codec (McKay & Piperno, *nauty and Traces User's
 Guide*), whose encoder and decoder share one base64 table and one column
-order, the standard families, the integer Laplacian and basic invariants.
+order, owned by one pair of helpers (``_columns`` and its inverse ``_rows``),
+the standard families, the integer Laplacian and basic invariants.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import binascii
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -411,28 +412,72 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, bytes(range(63, 127)))
 _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64_DIGITS)
 
 
-def _graph6_bytes(n: int, body: int) -> bytes:
-    """graph6 bytes of the order-n graph whose upper triangle is ``body``.
+def _columns(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
+    """The graph6 columns of the graph with rows ``adj`` relabeled so that
+    position i holds vertex order[i]: column j is the j-bit integer of the
+    adjacency between position j and positions 0..j-1, position 0 highest.
 
-    ``body`` holds the n(n-1)/2 triangle bits in graph6 order, x(0,1) most
-    significant. It is padded with zeros to a multiple of 6 bits, and each
-    6-bit group becomes one byte plus 63, after the 1-byte size (n <= 62) or
-    the 4-byte size form ('~' and 18 bits, 63 <= n <= 258047). The groups
-    are the base64 digits of the body padded to whole 24-bit words, so one
-    ``b2a_base64`` call splits them and one table translates the digits.
+    Every vertex gets its reversed position bit, ``1 << (n - 1 - position)``.
+    The OR of a vertex's neighbours' bits, shifted right by n - j, keeps its
+    neighbours at positions 0..j-1, in that order. Concatenated from column 1
+    on (``_body``), the columns are the graph6 body, so comparing column
+    tuples compares bodies. ``_rows`` is the inverse.
+    """
+    n = len(adj)
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << (n - 1 - i)
+    cols = []
+    for j, v in enumerate(order):
+        acc = 0
+        for u in _bit_vertices(adj[v]):
+            acc |= bit[u]
+        cols.append(acc >> (n - j))
+    return tuple(cols)
+
+
+def _rows(cols: Sequence[int]) -> tuple[int, ...]:
+    """The adjacency rows whose ``_columns`` in the identity order are ``cols``."""
+    rows = [0] * len(cols)
+    for j, col in enumerate(cols):
+        for b in _bit_vertices(col):  # bit b of column j: position j - 1 - b
+            rows[j - 1 - b] |= 1 << j
+            rows[j] |= 1 << (j - 1 - b)
+    return tuple(rows)
+
+
+def _body(cols: Sequence[int]) -> int:
+    """The graph6 body of ``_columns``: columns 1..n-1 concatenated, column 1 highest."""
+    body = 0
+    for j, col in enumerate(cols):
+        body = body << j | col
+    return body
+
+
+def _graph6_words(n: int, bodies: Sequence[int]) -> list[str]:
+    """The graph6 word of each order-n body (``_body``, or ``_graph6_bodies``).
+
+    A body holds the n(n-1)/2 triangle bits, x(0,1) most significant. Each
+    is padded with zeros to a multiple of 6 bits, and each 6-bit group
+    becomes one byte plus 63, after the 1-byte size (n <= 62) or the 4-byte
+    size form ('~' and 18 bits, 63 <= n <= 258047). The groups are the base64
+    digits of the body padded to whole 24-bit groups, so one ``b2a_base64``
+    call over all the padded bodies splits them, one table translates the
+    digits, and each word is one slice.
     """
     nbits = n * (n - 1) // 2
     nbytes = -(-nbits // 6)
-    words = -(-nbytes // 4)  # base64 writes 4 digits per 3 bytes
-    body <<= 24 * words - nbits
-    digits = binascii.b2a_base64(body.to_bytes(3 * words, "big"), newline=False)
-    size = [63 + n] if n <= 62 else [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    return bytes(size) + digits[:nbytes].translate(_BASE64_TO_GRAPH6)
+    groups = -(-nbytes // 4)  # base64 writes 4 digits per 3 bytes
+    shift, width, stride = 24 * groups - nbits, 3 * groups, 4 * groups
+    padded = b"".join([(body << shift).to_bytes(width, "big") for body in bodies])
+    digits = binascii.b2a_base64(padded, newline=False).translate(_BASE64_TO_GRAPH6).decode()
+    head = chr(63 + n) if n <= 62 else "~" + "".join([chr(63 + (n >> s & 63)) for s in (12, 6, 0)])
+    return [head + digits[k * stride : k * stride + nbytes] for k in range(len(bodies))]
 
 
 def _graph6_bodies(bits: np.ndarray) -> list[int]:
-    """``_graph6_bytes``' body for each matrix of a (B, n, n) stack of symmetric
-    adjacency bits: its upper triangle by columns, x(0,1) highest, as an int."""
+    """The ``_graph6_words`` body of each matrix of a (B, n, n) stack of
+    symmetric adjacency bits: its upper triangle by columns, x(0,1) highest."""
     n = bits.shape[1]
     j, i = np.tril_indices(n, -1)  # (j, i), i < j, by j then i: x(i, j) in graph6 order
     packed = np.packbits(bits[:, j, i], axis=1)  # first bit highest, zeros after the last
@@ -440,20 +485,9 @@ def _graph6_bodies(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row, "big") >> pad for row in packed.tolist()]
 
 
-def _graph6_body(n: int, adj: tuple[int, ...]) -> int:
-    """The upper triangle of the order-n graph with rows ``adj``, as the
-    integer ``_graph6_bytes`` packs (x(0,1) most significant)."""
-    # adj[j] below bit j is column j of the triangle with x(0,j) lowest, so
-    # the columns stacked last-first hold the body with its bits reversed
-    flipped = 0
-    for j in range(n - 1, 0, -1):
-        flipped = (flipped << j) | (adj[j] & ((1 << j) - 1))
-    return int(f"{flipped:0{n * (n - 1) // 2}b}"[::-1], 2)
-
-
 def write_graph6(g: Graph) -> str:
     """Encode g in graph6 (no header, no trailing newline)."""
-    return _graph6_bytes(g.n, _graph6_body(g.n, g.adj)).decode("ascii")
+    return _graph6_words(g.n, [_body(_columns(g.adj, range(g.n)))])[0]
 
 
 def parse_graph6(text: str) -> Graph:
@@ -503,14 +537,6 @@ def parse_graph6(text: str) -> Graph:
     pad = 6 * nbytes - nbits
     if bits & ((1 << pad) - 1):
         raise fail(body_at + nbytes - 1, "nonzero padding bits")
-    # reversed, the triangle is _graph6_body's stack: column j, the bits of
-    # adj[j] below bit j, sits above columns 1..j-1
-    flipped = int(f"{bits >> pad:0{nbits}b}"[::-1], 2)
-    adj = [0] * n
-    for j in range(1, n):
-        column = flipped & ((1 << j) - 1)
-        flipped >>= j
-        adj[j] |= column
-        for i in _bit_vertices(column):
-            adj[i] |= 1 << j
-    return Graph(n, tuple(adj))
+    # ``_body``'s column j fills the j bits above columns j + 1..n - 1 and the pad
+    cols = [bits >> (pad + nbits - j * (j + 1) // 2) & ((1 << j) - 1) for j in range(n)]
+    return Graph(n, _rows(cols))

@@ -7,7 +7,8 @@ all edge subsets, running extremes and capped witness lists one item at a
 time, equitable partitions by re-scanning every cell for every
 splitter, canonical searches by walking every leaf of the
 individualization-refinement tree, graph6 words by appending one triangle
-bit at a time (in any vertex order) and read back the same way, attachment
+bit at a time (in any vertex order) and read back the same way, relabeled
+rows by one bit test per vertex pair, attachment
 sets by testing every subset and closing its orbit, Renyi entropies in
 60-digit decimal arithmetic.
 Slow on purpose; keep the orders tiny.
@@ -206,6 +207,15 @@ def reference_write_graph6(g: Graph, order: Sequence[int] | None = None) -> str:
     if nbits:
         out.append(chr(63 + (acc << (6 - nbits))))
     return "".join(out)
+
+
+def reference_relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the graph relabeled so position i holds vertex order[i], by
+    one bit test per vertex pair."""
+    n = len(adj)
+    return tuple(
+        sum(1 << i for i in range(n) if (adj[order[j]] >> order[i]) & 1) for j in range(n)
+    )
 
 
 def reference_graph6_rows(word: str) -> tuple[int, ...]:

@@ -145,7 +145,7 @@ def search_bytes(g):
     body = 0
     for j in range(1, g.n):
         body = (body << j) | cols[j]
-    return graphs._graph6_bytes(g.n, body)
+    return graphs._graph6_words(g.n, [body])[0].encode("ascii")
 
 
 def random_tree_edges(rng, k, start=0):
@@ -234,6 +234,32 @@ def test_canon_search_matches_unpruned_reference():
         assert (cols, order) == reference_canon_search(g.n, g.adj), write_graph6(g)
 
 
+def test_search_columns_are_the_columns_of_its_ordering():
+    # the search builds each prefix column one position at a time; what it
+    # returns must be graphs._columns of its ordering, which for a forest is
+    # _forest_ordering's (canonical_form packs that one's columns instead)
+    rng = random.Random(28)
+    forests = 0
+    for n in range(1, 17):
+        cases = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for _ in range(6)]
+        cases.append(relabeled(rng, n, random_tree_edges(rng, n)))
+        k = rng.randint(1, n)
+        forest = random_tree_edges(rng, k) + random_tree_edges(rng, n - k, k)
+        cases.append(relabeled(rng, n, forest))
+        if n >= 3:
+            cases.append(relabeled(rng, n, cycle(n).edges()))
+        if n % 2 == 0:  # two copies of one graph, so the search branches
+            edges = random_graph(rng, n // 2).edges()
+            cases.append(relabeled(rng, n, edges + [(u + n // 2, v + n // 2) for u, v in edges]))
+        for g in cases:
+            cols, order, _ = enumeration._canon_search(g.n, g.adj)
+            assert cols == graphs._columns(g.adj, order), write_graph6(g)
+            if g.m + component_count(g) == g.n:
+                forests += 1
+                assert list(order) == enumeration._forest_ordering(g.n, g.adj)
+    assert forests >= 32
+
+
 def random_ordered_partition(rng, n):
     vertices = list(range(n))
     rng.shuffle(vertices)
@@ -305,7 +331,8 @@ def test_graph6_from_columns_matches_write_graph6(n):
         body = 0
         for j, col in enumerate(columns(g)):
             body = (body << j) | col
-        assert graphs._graph6_bytes(n, body) == write_graph6(g).encode("ascii")
+        assert graphs._graph6_words(n, [body]) == [write_graph6(g)]
+        assert graphs._columns(g.adj, range(n)) == columns(g)
 
 
 # --- exhaustive generation ------------------------------------------------------

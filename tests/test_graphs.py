@@ -29,9 +29,11 @@ from graphentropy.graphs import (
     star,
     write_graph6,
     _bit_vertices,
+    _columns,
     _graph6_bodies,
-    _graph6_bytes,
+    _graph6_words,
     _row_bits,
+    _rows,
 )
 from graphentropy.entropy import tr2
 from graphentropy.enumeration import CANON_MAX, canonical_form, enumerate_graphs
@@ -43,6 +45,7 @@ from _oracles import (
     reference_graph_check,
     reference_graph6_rows,
     reference_laplacian,
+    reference_relabel,
     reference_write_graph6,
 )
 
@@ -342,27 +345,45 @@ def test_graph6_roundtrip_random():
 
 
 def test_stacked_graph6_bodies_match_the_reference_words():
-    # census blocks pack their words this way; bodies pass 64 bits from n = 12
-    # on, and must not wrap at any order a block of rows can hold
+    # census blocks pack their words this way, all of a block's in one
+    # encoder call; bodies pass 64 bits from n = 12 on, and must not wrap at
+    # any order a block of rows can hold
     rng = random.Random(17)
     for n in list(range(1, 17)) + [33, 62, 63, 64]:
         graphs_ = [random_graph(rng, n, rng.uniform(0.05, 0.95)) for _ in range(24)]
         graphs_ += [empty_graph(n), complete(n)]
         rows = np.array([g.adj for g in graphs_], dtype=np.min_scalar_type((1 << n) - 1))
-        words = [_graph6_bytes(n, b).decode("ascii") for b in _graph6_bodies(_row_bits(rows))]
+        words = _graph6_words(n, _graph6_bodies(_row_bits(rows)))
         assert words == [reference_write_graph6(g) for g in graphs_]
+    for n in (1, 2, 9, 12, 16):  # an empty block
+        empty = np.zeros((0, n), dtype=np.min_scalar_type((1 << n) - 1))
+        assert _graph6_words(n, _graph6_bodies(_row_bits(empty))) == []
 
 
 def test_graph6_large_orders():
+    # 62 takes the 1-byte size form, 63 and 64 the 4-byte one
     rng = random.Random(11)
     for n in (62, 63, 64):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.05]
-        g = from_edges(n, edges)
-        word = write_graph6(g)
-        if n >= 63:
-            assert word.startswith("~")
-        back = parse_graph6(word)
-        assert back.adj == g.adj
+        for g in (from_edges(n, edges), empty_graph(n), complete(n)):
+            word = write_graph6(g)
+            assert word.startswith("~") == (n >= 63)
+            back = parse_graph6(word)
+            assert back.adj == g.adj and write_graph6(back) == word
+
+
+def test_columns_and_rows_match_the_reference_relabeling():
+    # _rows inverts _columns: the rows it reads back are the graph relabeled
+    # by the ordering, and packed, the columns are the reference word
+    rng = random.Random(27)
+    for n in list(range(1, 17)) + [63, 64]:
+        for g in [empty_graph(n), complete(n)] + [random_graph(rng, n) for _ in range(6)]:
+            order = list(range(n))
+            rng.shuffle(order)
+            cols = _columns(g.adj, order)
+            assert _rows(cols) == reference_relabel(g.adj, order)
+            assert [c >> j for j, c in enumerate(cols)] == [0] * n  # column j has j bits
+            assert write_graph6(Graph(n, _rows(cols))) == reference_write_graph6(g, order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 62, 63, 64])

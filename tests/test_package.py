@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -49,3 +51,20 @@ def test_benchmark_traced_functions_exist():
     for module, name, is_generator in traced:
         fn = getattr(importlib.import_module(f"graphentropy.{module}"), name)
         assert callable(fn) and inspect.isgeneratorfunction(fn) == is_generator
+
+
+def test_readme_cites_only_private_names_that_exist():
+    # a private helper README names in backticks, bare or as module._name,
+    # must be an attribute of a graphentropy module, so the docs cannot name
+    # a deleted helper
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    cited = re.findall(r"`(?:(\w+)\.)?(_\w+)`", readme.read_text())
+    assert cited
+    modules = {
+        info.name: importlib.import_module(f"graphentropy.{info.name}")
+        for info in pkgutil.iter_modules(graphentropy.__path__)
+        if not info.name.startswith("_")
+    }
+    for module, name in cited:
+        owners = [modules[module]] if module else modules.values()
+        assert any(hasattr(m, name) for m in owners), f"README cites {module or '*'}.{name}"
