@@ -59,6 +59,12 @@ preorder walk (``_walk``) that yields every node's canonical adjacency, so
 each order's classes come out in emission order; it can start from the
 classes of one order, each searched once (``_root``), as a shard and
 ``census`` do. In one process, memory stays linear in the recursion depth.
+The walk may take a predicate on a child's degrees (``_children``'s
+``keep``), tested before the child's canonical search: a child it rejects
+is skipped with its subtree, and the nodes left keep their order. The census
+passes none; the star scans pass a proved degree bound
+(``verify._star_keep``) and so walk only the subtrees that can hold a
+star-test failure (1302 nodes to order 9, where the census visits 288266).
 The optional process-pool sharding (``_parallel``) splits the walk at order
 n - 3: each class of that order (34 at n = 8, 156 at n = 9, 1044 at
 n = 10) is a shard, whose order-n classes a worker returns as one array of
@@ -97,7 +103,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -204,6 +210,7 @@ def _refine(adj: tuple[int, ...], cells: list[int], fresh: Iterable[int]) -> lis
 
 
 Auts = list[tuple[int, ...]]
+Keep = Callable[[list[int]], bool]  # a test of a child's vertex degrees (``_walk``)
 Node = tuple[tuple[int, ...], tuple[int, ...], Auts]  # (adjacency, columns, automorphisms)
 
 
@@ -481,7 +488,12 @@ def _attachment_sets(degs: list[int], auts: Auts) -> list[int]:
 
 
 def _children(
-    k: int, adj: tuple[int, ...], cols: tuple[int, ...], auts: Auts, expand: bool
+    k: int,
+    adj: tuple[int, ...],
+    cols: tuple[int, ...],
+    auts: Auts,
+    expand: bool,
+    keep: Keep | None = None,
 ) -> list[Node]:
     """Accepted, deduplicated children of a canonical representative.
 
@@ -495,13 +507,20 @@ def _children(
     automorphisms are the search ``_accepted`` ran on it, and its canonical
     rows are read back from those columns (``graphs._rows``). The automorphisms
     are relabeled into the canonical labeling only if the walk will
-    ``expand`` the children; otherwise the children carry none.
+    ``expand`` the children; otherwise the children carry none. A ``keep``
+    predicate sees each set's child degrees (the parent's, one more on each
+    vertex of the set, then the new vertex's), before any search: a set it
+    rejects is skipped, and isomorphic children have one degree multiset, so
+    a class is kept or skipped whole.
     """
     nc = k + 1
+    degs = [a.bit_count() for a in adj]
     # known automorphisms may generate a proper subgroup, and distinct orbits
     # can still give isomorphic children, so duplicates remain possible
     seen: dict[tuple[int, ...], tuple[int, Node]] = {}
-    for x in _attachment_sets([a.bit_count() for a in adj], auts):
+    for x in _attachment_sets(degs, auts):
+        if keep and not keep([d + (x >> v & 1) for v, d in enumerate(degs)] + [x.bit_count()]):
+            continue
         child = tuple(adj[v] | (((x >> v) & 1) << k) for v in range(k)) + (x,)
         search = _accepted(nc, child, cols)
         if search is None:
@@ -531,18 +550,20 @@ def _root(adj: tuple[int, ...]) -> Node:
     return adj, cols, auts
 
 
-def _walk(roots: Iterable[Node], n: int) -> Iterator[tuple[int, ...]]:
+def _walk(roots: Iterable[Node], n: int, keep: Keep | None = None) -> Iterator[tuple[int, ...]]:
     """Preorder DFS from ``roots`` (one order's classes, in emission order)
     down to order n, yielding every node's canonical adjacency; its length is
     the order. Nodes of order n are not expanded, so the children made at
-    order n carry no automorphisms (``_children``'s ``expand``)."""
+    order n carry no automorphisms (``_children``'s ``expand``). With a
+    ``keep`` predicate on the children's degrees, a child it rejects is
+    skipped with its whole subtree; the nodes left come in the same order."""
 
     def down(nodes: Iterable[Node]) -> Iterator[tuple[int, ...]]:
         for adj, cols, auts in nodes:
             yield adj
             k = len(adj)
             if k < n:
-                yield from down(_children(k, adj, cols, auts, k + 1 < n))
+                yield from down(_children(k, adj, cols, auts, k + 1 < n, keep))
 
     return down(roots)
 
@@ -658,7 +679,7 @@ def _blocks(k: int, parts: Iterable[np.ndarray | list[tuple[int, ...]]]) -> Iter
     over from the part before."""
     rows = np.empty((0, k), dtype=np.min_scalar_type((1 << k) - 1))
     for part in parts:
-        rows = np.concatenate((rows, np.asarray(part, dtype=rows.dtype)))
+        rows = np.concatenate((rows, np.asarray(part, dtype=rows.dtype).reshape(-1, k)))
         full = len(rows) - len(rows) % CENSUS_BLOCK
         for i in range(0, full, CENSUS_BLOCK):
             yield CensusBlock(rows[i : i + CENSUS_BLOCK])

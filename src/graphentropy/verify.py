@@ -1,9 +1,15 @@
 """Exhaustive verification of the entropy extremal claims at small orders.
 
-Every graph engine folds over the census of one order n (kept orders are
+The graph engines fold over the census of one order n (kept orders are
 walked once per process, whatever the order of the calls), the tree engine
 over blocks of the tree generator (``_tree_blocks``); each checks one claim
-and returns a ``VerificationResult``. Every fold takes a block at a time: a
+and returns a ``VerificationResult``. The star scans (star-min-S, table1 and
+renyi-star-min for 1 < alpha < 2) fold over the star-test failures only
+(``_star_blocks``): a class that passes has H_alpha >= H_2 >= S(star), with
+room to spare, so it is never a witness or a tie of the minimum. At a kept
+order they filter the census; at n = 9 and 10 they filter a walk that skips
+every subtree two proved degree bounds clear (``_star_keep``), and read the
+class totals from ``CONNECTED_CLASSES``. Every fold takes a block at a time: a
 running extreme (``_Extremes``) and a capped witness list (``_Witnesses``)
 are offered a block's values and words as arrays, and one exact tr2 fold
 (``_tr2_extremes``) serves both H_2 scans. The spectral engines read the
@@ -50,7 +56,17 @@ from .entropy import (
     star_entropy_closed,
 )
 from .enumeration import (
-    CANON_MAX, CENSUS_BLOCK, _reach_step, canonical_form, census, enumerate_trees
+    _K1,
+    CANON_MAX,
+    CENSUS_BLOCK,
+    CENSUS_KEPT,
+    CENSUS_MAX,
+    _blocks,
+    _reach_step,
+    _walk,
+    canonical_form,
+    census,
+    enumerate_trees,
 )
 from .graphs import Graph, add_edge, matching_number, parse_graph6
 from .spectral import density_spectra, density_spectrum
@@ -58,6 +74,8 @@ from .spectral import density_spectra, density_spectrum
 EPS = 1e-9
 DEFAULT_WITNESS_CAP = 1000
 TREE_BLOCK = 128  # trees per stacked eigensolve; 1024 raised peak RSS by 17% at n=15
+# connected classes on n vertices, n = 0..CENSUS_MAX (OEIS A001349)
+CONNECTED_CLASSES = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 
 class TheoremViolation(RuntimeError):
@@ -227,6 +245,120 @@ def _star_ceilings(n: int) -> np.ndarray:
     ])
 
 
+def _max_square_sum(n: int, m: int) -> int:
+    """The largest sum of squared degrees of a graph with n vertices and m
+    edges: the quasi-complete graph's or the quasi-star's, its complement's
+    (Ahlswede & Katona, Acta Math. Acad. Sci. Hungar. 32, 1978)."""
+
+    def quasi_complete(m: int) -> int:  # K_k, and one more vertex joined to r of it
+        k = (1 + math.isqrt(1 + 8 * m)) // 2  # the largest k with C(k, 2) <= m
+        r = m - math.comb(k, 2)
+        return r * k * k + (k - r) * (k - 1) ** 2 + r * r
+
+    rest = math.comb(n, 2) - m  # degree d in a graph is n - 1 - d in its complement
+    return max(quasi_complete(m), n * (n - 1) ** 2 - 4 * (n - 1) * rest + quasi_complete(rest))
+
+
+def _square_fill(total: int, slots: int, cap: int) -> int:
+    """The largest sum of squares of ``slots`` integers in 0..cap that sum to
+    ``total`` (at most slots * cap): fill whole slots greedily."""
+    full, rest = divmod(total, cap)
+    return full * cap * cap + rest * rest
+
+
+def _edge_cutoff(n: int, ceilings: np.ndarray) -> int:
+    """M(n): the largest m at which some graph with n vertices and m edges
+    exceeds ``ceilings[m]``, by ``_max_square_sum`` (0 if none). With
+    ``_star_ceilings(n)``, every graph with more edges passes the star test."""
+    ceil = ceilings.tolist()
+    return max((m for m in range(1, len(ceil)) if _max_square_sum(n, m) > ceil[m]), default=0)
+
+
+def _star_keep(n: int, ceilings: np.ndarray) -> Callable[[list[int]], bool]:
+    """The bounded walk's test of a child H's degrees: false only when no
+    connected graph on n vertices below H in the walk exceeds ``ceilings``
+    (with ``_star_ceilings(n)``: fails the star test).
+
+    The walk only adds vertices, so a descendant G holds H, of order k, as an
+    induced subgraph; its r = n - k other vertices meet t edges to H and s
+    among themselves, and G connected gives t + s >= r (a spanning tree has
+    at most k - 1 edges in H). Two proved rules read only H's degrees. (i)
+    G has at most M = ``_edge_cutoff`` edges, so H has at most M - r. (ii)
+    Sum d^2(G) is at most A(t) + B(t + 2s): A(t) adds t to H's degrees, at
+    most r per vertex, greedily on the largest, and B fills r degrees of at
+    most n - 1 summing to t + 2s (``_square_fill``). H is dropped when that
+    bound is at most the ceiling of m_H + t + s for every feasible (t, s).
+    ``room[r][m_H][t]``, the least ceiling minus B over the feasible s, is
+    tabled once; A(t) runs through the added units in greedy order. At r = 0
+    the test is the ceiling test itself.
+    """
+    ceil = ceilings.tolist()
+    top = _edge_cutoff(n, ceilings)
+    room: list[list[list[float]]] = []
+    for r in range(n):
+        room.append([])
+        for m_h in range(top + 1):
+            row = []
+            for t in range(min((n - r) * r, top - m_h) + 1):
+                feasible = range(max(0, r - t), min(math.comb(r, 2), top - m_h - t) + 1)
+                row.append(min(
+                    (ceil[m_h + t + s] - _square_fill(t + 2 * s, r, n - 1) for s in feasible),
+                    default=math.inf,
+                ))
+            room[r].append(row)
+
+    def keep(degs: list[int]) -> bool:
+        r = n - len(degs)
+        m_h = sum(degs) // 2
+        if m_h > top - r:  # (i)
+            return False
+        gains = (2 * (d + e) + 1 for d in sorted(degs, reverse=True) for e in range(r))
+        bounds = itertools.accumulate(gains, initial=sum(d * d for d in degs))
+        return any(a > limit for a, limit in zip(bounds, room[r][m_h]))  # (ii)
+
+    return keep
+
+
+def _star_blocks(
+    n: int, workers: int, target: float | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, graph6 words) of the connected classes on n vertices that fail
+    the star test, in census order, one pair per block read.
+
+    A kept order (n <= ``CENSUS_KEPT``) filters its census blocks. A larger
+    one, to ``CENSUS_MAX``, filters the blocks of one walk from K_1 in this
+    process, whatever ``workers`` is, that skips every subtree ``_star_keep``
+    proves free of failures. An order above ``CENSUS_MAX`` raises ValueError
+    before anything is walked. Given a ``target``, every class that passes
+    must have H_2 above it by more than EPS, read from the ceilings before
+    anything is walked (TheoremViolation if not): a scan that skips the
+    passing classes then misses no witness and no tie of the minimum.
+    """
+    if n > CENSUS_MAX:
+        raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
+    ceilings = _star_ceilings(n)
+    if target is not None:
+        floor = min(
+            math.log2(4 * m * m) - math.log2(c + 2 * m)  # H_2 at the ceiling of m
+            for m, c in enumerate(ceilings.tolist()) if m and c >= 0
+        )
+        if not floor - target > EPS:
+            raise TheoremViolation(
+                f"a class passing the star test on {n} vertices may have H_2 = {floor}, "
+                f"not above {target} by more than {EPS}"
+            )
+    if n <= CENSUS_KEPT:
+        blocks = census(n, workers=workers)
+    else:
+        walk = _walk([_K1], n, _star_keep(n, ceilings))
+        blocks = _blocks(n, [[adj for adj in walk if len(adj) == n]])
+    for block in blocks:
+        rows, words = block.rows[block.connected], block.graph6[block.connected]
+        _, d_g, sq = _degree_sums(rows)
+        fail = sq > ceilings[d_g // 2]
+        yield rows[fail], words[fail]
+
+
 def _strict_extreme(extremes: _Extremes, expected: object, message: str) -> None:
     """A proved strict extreme: raise TheoremViolation(message) unless
     ``expected`` is the best value and no other class ties it."""
@@ -240,12 +372,14 @@ def verify_star_min_von_neumann(
     """Does the star minimize S over connected graphs on n vertices?
 
     Open statement; counterexamples (S(G) < S(star) - 1e-9) become witnesses.
+    Only the star-test failures are solved: a class that passes has
+    S >= H_2 >= S(star), certified with room (``_star_blocks``).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     found = _Witnesses(witness_cap)
     return _star_min_scan(
-        "star-min-S", n, shannon_entropy, star_entropy_closed(n), {}, found, workers
+        "star-min-S", n, shannon_entropy, star_entropy_closed(n), {}, found, workers, True
     )
 
 
@@ -257,17 +391,29 @@ def _star_min_scan(
     params: dict,
     found: _Witnesses,
     workers: int,
+    certified: bool,
 ) -> VerificationResult:
-    """Scan connected graphs for measure(rho(G)) < target - 1e-9 (the star's value)."""
+    """Scan connected graphs for measure(rho(G)) < target - 1e-9 (the star's value).
+
+    With ``certified`` (measure(G) >= H_2(G) for every G) only the star-test
+    failures are measured, one ``density_spectra`` call per block of
+    ``_star_blocks``; at n = 2, where K_2 ties the test, and otherwise every
+    connected class's kept census spectra are read (``_measured``).
+    """
     t0 = time.perf_counter()
+    if certified and n > 2:
+        blocks = (
+            (words, np.array([measure(v) for v in density_spectra(rows).tolist()], dtype=float))
+            for rows, words in _star_blocks(n, workers, target)
+        )
+    else:
+        blocks = ((words, values) for _, words, values in _measured(n, workers, measure))
     extremes = _Extremes()
-    classes = 0
-    for _, words, values in _measured(n, workers, measure):
-        classes += len(words)
+    for words, values in blocks:
         extremes.offer(values, words)
         found.add(words[values < target - EPS])
     stats = {
-        "classes": classes,
+        "classes": CONNECTED_CLASSES[n],
         **params,
         "min_entropy": extremes.best(),
         "star_entropy": target,
@@ -362,7 +508,8 @@ def verify_renyi_star_min(
     alpha = 2 is proved with strict uniqueness and is checked in exact
     rational arithmetic (star must have strictly maximal tr2); any failure
     raises TheoremViolation. Other alpha > 1 are open statements scanned in
-    floating point.
+    floating point; for alpha < 2, where H_alpha >= H_2, only the star-test
+    failures are solved (``_star_min_scan``).
     """
     if not alpha > 1:  # NaN too
         raise ValueError("need alpha > 1")
@@ -380,6 +527,7 @@ def verify_renyi_star_min(
             {"alpha": alpha},
             found,
             workers,
+            alpha < 2,
         )
     t0 = time.perf_counter()
     classes, star_t, most, _ = _tr2_extremes(_scan(n, workers))
@@ -439,37 +587,32 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
 
 def table1_row(n: int, workers: int = 1) -> tuple[int, int, tuple[str, ...]]:
     """(failures, total, failing graph6 list) for the star test over
-    connected graphs on n vertices; decided in exact integer arithmetic, per
-    block against the per-m ceilings of ``_star_ceilings``."""
+    connected graphs on n vertices; decided in exact integer arithmetic
+    (``_star_blocks``), with the total from ``CONNECTED_CLASSES``."""
     if n < 2:
         raise ValueError("need n >= 2")
-    ceilings = _star_ceilings(n)
-    total = 0
-    failing: list[str] = []
-    for rows, words in _scan(n, workers):
-        _, d_g, sq = _degree_sums(rows)
-        total += len(words)
-        failing += words[sq > ceilings[d_g // 2]].tolist()
-    return len(failing), total, tuple(failing)
+    failing = tuple(w for _, words in _star_blocks(n, workers) for w in words.tolist())
+    return len(failing), CONNECTED_CLASSES[n], failing
 
 
 def failing_graph_properties(n: int, workers: int = 1) -> dict:
     """Minimum-degree report for the star-test failures at order n.
 
-    Records, per failing graph, its minimum degree and whether it has a
-    leaf; the observed pattern (every failure has a leaf) is summarized but
-    not asserted, since it is an observation, not a theorem.
+    Records, per failing graph, its minimum degree (from its rows) and
+    whether it has a leaf; the observed pattern (every failure has a leaf) is
+    summarized but not asserted, since it is an observation, not a theorem.
     """
-    failures, total, failing = table1_row(n, workers=workers)
-    records = []
-    for g6 in failing:
-        g = parse_graph6(g6)
-        mind = min(row.bit_count() for row in g.adj)
-        records.append({"graph6": g6, "min_degree": mind, "has_leaf": mind == 1})
+    if n < 2:
+        raise ValueError("need n >= 2")
+    records = [
+        {"graph6": g6, "min_degree": mind, "has_leaf": mind == 1}
+        for rows, words in _star_blocks(n, workers)
+        for g6, mind in zip(words.tolist(), np.bitwise_count(rows).min(axis=1).tolist())
+    ]
     return {
         "order": n,
-        "failures": failures,
-        "total": total,
+        "failures": len(records),
+        "total": CONNECTED_CLASSES[n],
         "records": records,
         "all_have_leaf": all(r["has_leaf"] for r in records),
     }

@@ -9,8 +9,9 @@ splitter, canonical searches by walking every leaf of the
 individualization-refinement tree, graph6 words by appending one triangle
 bit at a time (in any vertex order) and read back the same way, relabeled
 rows by one bit test per vertex pair, attachment
-sets by testing every subset and closing its orbit, Renyi entropies in
-60-digit decimal arithmetic.
+sets by testing every subset and closing its orbit, the largest sums of
+squared degrees by trying every edge subset, Renyi entropies in 60-digit
+decimal arithmetic.
 Slow on purpose; keep the orders tiny.
 """
 
@@ -282,6 +283,23 @@ def reference_attachment_sets(degs: Sequence[int], perms: Sequence[Sequence[int]
         if all(degs[v] + (smallest >> v & 1) >= size for v in range(k)):
             kept.append(smallest)
     return kept
+
+
+def brute_max_square_sums(n: int) -> list[int]:
+    """best[m], m = 0..C(n,2): the largest sum of squared degrees over the
+    labeled graphs on n vertices with m edges, by trying every edge subset."""
+    pairs = list(itertools.combinations(range(n), 2))
+    best = [0] * (len(pairs) + 1)
+    for mask in range(1 << len(pairs)):
+        deg = [0] * n
+        m = 0
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                deg[u] += 1
+                deg[v] += 1
+                m += 1
+        best[m] = max(best[m], sum(d * d for d in deg))
+    return best
 
 
 def brute_matching(g: Graph) -> int:

@@ -288,6 +288,8 @@ def test_verify_rejects_flags_the_claim_does_not_read(capsys, monkeypatch, argv,
         ["table1", "--n", "2..11"],
         ["table1", "--n", "2..1000000000000000000"],  # the range is never listed
         ["verify", "tree-extremes", "--n", "17"],
+        ["verify", "star-min-S", "--n", "11"],
+        ["table1", "--n", "11"],
     ],
 )
 def test_order_bounds_exit_one_before_enumerating(capsys, monkeypatch, argv):
@@ -374,6 +376,17 @@ def test_table1_stdout_independent_of_threads(capsys):
     clear_census()
     rc2, out2, _ = run(capsys, "table1", "--n", "6", "--threads", "3")
     assert (rc1, out1) == (rc2, out2)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "star-min-S", "--n", "9"], ["table1", "--n", "9"]], ids=["verify", "table1"]
+)
+def test_star_scans_past_the_kept_orders_walk_in_one_process(capsys, monkeypatch, argv):
+    # the degree-bounded walk at n = 9 starts no pool, whatever --threads says
+    monkeypatch.setattr(enumeration, "_parallel", None)
+    rc1, out1, _ = run(capsys, *argv, "--threads", "1")
+    rc2, out2, _ = run(capsys, *argv, "--threads", "2")
+    assert (rc1, out1) == (rc2, out2) and rc1 == 0
 
 
 @pytest.mark.parametrize("claim", ["coentropy", "param-compare"])

@@ -417,9 +417,9 @@ def test_attachment_sets_match_reference_on_generation_parents(monkeypatch):
     parents = []
     children = enumeration._children
 
-    def recording(k, adj, cols, auts, expand):
+    def recording(k, adj, cols, auts, expand, keep):
         parents.append((adj, auts))
-        return children(k, adj, cols, auts, expand) if k < 7 else []
+        return children(k, adj, cols, auts, expand, keep) if k < 7 else []
 
     monkeypatch.setattr(enumeration, "_children", recording)
     assert sum(1 for _ in enumerate_graphs(8)) == 0
@@ -623,9 +623,9 @@ def test_census_walks_each_parent_once_in_any_call_order(monkeypatch, orders):
     expanded = []
     children = enumeration._children
 
-    def recording(k, adj, cols, auts, expand):
+    def recording(k, adj, cols, auts, expand, keep):
         expanded.append(adj)
-        return children(k, adj, cols, auts, expand)
+        return children(k, adj, cols, auts, expand, keep)
 
     monkeypatch.setattr(enumeration, "_children", recording)
     clear_census()

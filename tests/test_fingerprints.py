@@ -6,7 +6,10 @@ streams (graph6 word plus newline per class), against which the words the
 census blocks derive from their rows are hashed too, and the stdout of every
 census-backed CLI command at n = 7 and n = 8, the tree stream for n = 1..16,
 the canonical bytes of trees and relabeled graphs (up to n = 16 for random
-non-forests), and the stdout of tree-extremes at n = 12 and 15. A change to
+non-forests), the stdout of tree-extremes at n = 12 and 15, and the stdout of
+star-min-S and table1 at n = 9 and 10, which read the star-test failures
+from a degree-bounded walk (the n = 9 digests were recorded on the census
+scan, the n = 10 ones on the walk). A change to
 the enumeration order, to the canonical search, to a fold, or to the float
 arithmetic behind them moves a digest. The n = 9 stream runs only when
 GEL_STRETCH is 9 or 10. Next to the canonical words, the oracle packs each
@@ -182,11 +185,16 @@ def test_tree_stream_fingerprint():
         ("verify param-compare --n 7 --param max_degree --threads 2", "218fbd1718986613"),
         ("verify param-compare --n 8 --param diameter --threads 2", "e3f35bbd69c292b5"),
         ("verify star-min-S --n 8", "c3c1b713d70c37d6"),
+        ("verify star-min-S --n 9", "446907f9ca7dd923"),
+        ("verify star-min-S --n 9 --threads 2", "446907f9ca7dd923"),
+        ("verify star-min-S --n 10", "cff54643dd3990f3"),
         ("verify density-implies-star --n 7", "b37ce65e3f01b06b"),
         ("verify density-implies-star --n 8", "5bc5f297976b397b"),
         ("verify edge-add-decrease --n 7", "59994cbf85a9bdba"),
         ("table1 --n 2..7", "28ca38400e1d8b2f"),
         ("table1 --n 2..8", "2817e134d530943d"),
+        ("table1 --n 9..9", "e0c70c495e4e97b7"),
+        ("table1 --n 10..10", "f90f6b6d4322ece4"),
         ("verify tree-extremes --n 12", "61391221a06dc97d"),
         ("verify tree-extremes --n 12 --entropy H2", "7b85df74914ab011"),
         ("verify tree-extremes --n 15", "0efaa4f22eb59990"),

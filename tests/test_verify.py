@@ -1,7 +1,10 @@
+import __future__
 import dataclasses
 import importlib
+import inspect
 import itertools
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -29,6 +32,7 @@ from graphentropy.enumeration import (
     enumerate_trees,
 )
 from graphentropy.graphs import (
+    DegreeSequence,
     add_edge,
     complete,
     diameter,
@@ -61,10 +65,18 @@ from graphentropy.verify import (
     verify_tree_extremes,
 )
 
-from _oracles import brute_param_pairs, reference_extremes, reference_witnesses
+from _oracles import (
+    brute_max_square_sums,
+    brute_param_pairs,
+    reference_extremes,
+    reference_witnesses,
+)
 
 # star-test failure counts over connected graphs, by order
-FAILURE_ROWS = {2: (0, 1), 3: (1, 2), 4: (2, 6), 5: (4, 21), 6: (8, 112), 7: (16, 853)}
+FAILURE_ROWS = {
+    2: (0, 1), 3: (1, 2), 4: (2, 6), 5: (4, 21), 6: (8, 112), 7: (16, 853), 8: (49, 11117),
+    9: (106, 261080),
+}
 
 
 def canon_g6(g):
@@ -118,6 +130,168 @@ def test_star_ceilings_agree_with_star_test():
             for sq in range(2 * m * (n - 1) + 1):
                 d = SimpleNamespace(degrees=(0,) * n, d_sum=2 * m, d_sq_sum=sq)
                 assert (sq <= ceilings[m]) == star_test(d, n), (n, m, sq)
+
+
+# --- the star-test failures without the census -------------------------------
+
+STRETCH = pytest.mark.skipif(
+    os.environ.get("GEL_STRETCH") not in ("9", "10"),
+    reason="walks the census at n = 9; set GEL_STRETCH=9 or 10",
+)
+
+
+def star_failures(n):
+    # every block ``_star_blocks`` yields at n, concatenated: (rows, words)
+    rows, words = [], []
+    for r, w in verify._star_blocks(n, 1):
+        rows += r.tolist()
+        words += w.tolist()
+    return rows, words
+
+
+def test_connected_class_counts_match_the_census():
+    for n in range(1, 9):
+        assert verify.CONNECTED_CLASSES[n] == sum(int(b.connected.sum()) for b in census(n))
+
+
+def walk_gives_the_census_failures(monkeypatch, n):
+    # from the census (a kept order at n <= 8, a stream at n = 9), then from
+    # the degree-bounded walk: the same rows and words, in the same order?
+    monkeypatch.setattr(verify, "CENSUS_KEPT", n)
+    want = star_failures(n)
+    assert len(want[1]) == FAILURE_ROWS[n][0]
+    monkeypatch.setattr(verify, "CENSUS_KEPT", n - 1)
+    return star_failures(n) == want
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), pytest.param(9, marks=STRETCH)])
+def test_bounded_walk_gives_the_census_failures_in_order(monkeypatch, n):
+    assert walk_gives_the_census_failures(monkeypatch, n)
+
+
+def walk_nodes(n):
+    keep = verify._star_keep(n, verify._star_ceilings(n))
+    return sum(1 for _ in enumeration._walk([enumeration._K1], n, keep))
+
+
+def test_bounded_walk_node_counts():
+    # every node the walk to order n visits, of any order: a looser bound
+    # walks more (without t + s >= r, 675 at n = 8), a tighter one fewer
+    assert [walk_nodes(n) for n in (8, 9)] == [471, 1302]
+
+
+def keeps_every_induced_subgraph(n, rows, ceilings):
+    # every vertex subset of every graph, as the child H of a walk to G
+    keep = verify._star_keep(n, ceilings)
+    return all(
+        keep([(adj[v] & subset).bit_count() for v in range(n) if subset >> v & 1])
+        for adj in rows
+        for subset in range(1, 1 << n)
+    )
+
+
+def test_star_keep_keeps_every_induced_subgraph_of_a_failure():
+    for n in range(3, 9):
+        assert keeps_every_induced_subgraph(n, star_failures(n)[0], verify._star_ceilings(n))
+
+
+def one_graph_ceilings(n, adj):
+    # ceilings that only this graph exceeds: its own sum of squares less one
+    # at its m, and 2m(n - 1), which no sum of squared degrees exceeds, elsewhere
+    ceilings = np.array([2 * m * (n - 1) for m in range(math.comb(n, 2) + 1)])
+    degs = [row.bit_count() for row in adj]
+    ceilings[sum(degs) // 2] = sum(d * d for d in degs) - 1
+    return ceilings
+
+
+def each_class_keeps_its_subgraphs_under_its_own_ceilings():
+    # the bound is proved for any ceilings: at each connected class's own,
+    # (t, s) of the class itself is the only pair that can keep its subgraphs
+    return all(
+        keeps_every_induced_subgraph(n, [adj], one_graph_ceilings(n, adj))
+        for n in range(2, 7)
+        for block in census(n)
+        for adj in block.rows[block.connected].tolist()
+    )
+
+
+def test_star_keep_keeps_every_induced_subgraph_under_one_graph_ceilings():
+    assert each_class_keeps_its_subgraphs_under_its_own_ceilings()
+
+
+# each bound made tighter or looser than proved, and the check that catches it
+BOUND_MUTANTS = {
+    "without the 2s term": ("t + 2 * s", "t", "one graph"),
+    "with s counted once": ("t + 2 * s", "t + s", "one graph"),
+    "with t + s >= r + 1": ("max(0, r - t)", "max(0, r + 1 - t)", "failures"),
+    "with M - r - 1 edges": ("m_h > top - r", "m_h > top - r - 1", "failures"),
+    "without t + s >= r": ("max(0, r - t)", "0", "nodes"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BOUND_MUTANTS))
+def test_a_bound_not_as_proved_fails_a_check(monkeypatch, mutant):
+    old, new, check = BOUND_MUTANTS[mutant]
+    source = inspect.getsource(verify._star_keep)
+    assert source.count(old) == 1
+    scope = dict(vars(verify))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), verify.__file__, "exec", flags=flags), scope)
+    monkeypatch.setattr(verify, "_star_keep", scope["_star_keep"])
+    if check == "one graph":
+        assert not each_class_keeps_its_subgraphs_under_its_own_ceilings()
+    elif check == "failures":
+        assert not all(walk_gives_the_census_failures(monkeypatch, n) for n in range(3, 9))
+    else:  # looser: the same failures, from more nodes
+        assert walk_nodes(8) > 471
+
+
+def test_max_square_sum_is_the_brute_force_maximum():
+    for n in range(1, 7):
+        got = [verify._max_square_sum(n, m) for m in range(math.comb(n, 2) + 1)]
+        assert got == brute_max_square_sums(n)
+
+
+def test_every_class_above_the_edge_cutoff_passes_the_star_test():
+    cutoffs = [verify._edge_cutoff(n, verify._star_ceilings(n)) for n in range(2, 14)]
+    assert cutoffs == [0, 2, 3, 5, 7, 8, 11, 13, 16, 19, 21, 24]
+    denser = 0
+    for n in range(2, 9):
+        for block in census(n):
+            for adj in block.rows[block.connected].tolist():
+                degs = DegreeSequence(tuple(row.bit_count() for row in adj))
+                if degs.d_sum > 2 * cutoffs[n - 2]:
+                    assert star_test(degs, n)
+                    denser += 1
+    assert denser > 10000
+
+
+@pytest.mark.parametrize(
+    "engine, name, target",
+    [
+        (lambda: verify_star_min_von_neumann(5), "star_entropy_closed", lambda n: 100.0),
+        (lambda: verify_renyi_star_min(5, 1.5), "renyi_entropy", lambda vals, alpha: 100.0),
+    ],
+    ids=["star-min-S", "renyi-star-min"],
+)
+def test_star_scans_raise_before_walking_unless_passing_classes_clear_the_target(
+    monkeypatch, engine, name, target
+):
+    # a target above the H_2 of some class that passes the star test:
+    # skipping the passing classes would not be exact
+    monkeypatch.setattr(verify, "census", None)
+    monkeypatch.setattr(verify, "_walk", None)
+    monkeypatch.setattr(verify, name, target)
+    with pytest.raises(TheoremViolation, match="a class passing the star test on 5 vertices"):
+        engine()
+
+
+def test_star_scans_reject_orders_past_the_census_before_walking(monkeypatch):
+    monkeypatch.setattr(verify, "_walk", None)
+    monkeypatch.setattr(verify, "_star_ceilings", None)
+    for engine in (table1_row, failing_graph_properties, verify_star_min_von_neumann):
+        with pytest.raises(ValueError, match="census order must be at most 10"):
+            engine(11)
 
 
 def test_session_calls_give_the_same_summaries_in_any_order(monkeypatch):
@@ -451,26 +625,36 @@ def test_witness_cap_zero_keeps_the_verdict(claim):
 
 
 def test_witness_cap_zero_star_min_with_counterexamples(monkeypatch):
-    # a star value above every class makes every class a counterexample
-    monkeypatch.setattr(verify, "star_entropy_closed", lambda n: 100.0)
+    # an entropy below the star's on every class solved makes each of them a
+    # counterexample: the 4 star-test failures of the 21 classes at n = 5
+    monkeypatch.setattr(verify, "shannon_entropy", lambda vals: -1.0)
     res = verify_star_min_von_neumann(5, witness_cap=0)
     assert not res.holds and res.witnesses == []
-    assert res.stats["witness_count"] == res.stats["classes"] == 21
+    assert res.stats["witness_count"] == 4 and res.stats["classes"] == 21
     assert len(verify_star_min_von_neumann(5, witness_cap=3).witnesses) == 3
 
 
-def test_witness_cap_zero_renyi_star_min_with_counterexamples(monkeypatch):
+def renyi_star_min_all_below_the_star(monkeypatch, alpha):
     calls = []
 
     def star_first(vals, alpha):
-        # the first call computes the star's value; raise it above every class
+        # the first call computes the star's value; every class solved reads below it
         calls.append(alpha)
-        return 100.0 if len(calls) == 1 else renyi_entropy(vals, alpha)
+        return renyi_entropy(vals, alpha) if len(calls) == 1 else -1.0
 
     monkeypatch.setattr(verify, "renyi_entropy", star_first)
-    res = verify_renyi_star_min(5, 1.5, witness_cap=0)
-    assert not res.holds and res.witnesses == []
-    assert res.stats["witness_count"] == 21
+    res = verify_renyi_star_min(5, alpha, witness_cap=0)
+    assert not res.holds and res.witnesses == [] and res.stats["classes"] == 21
+    return res.stats["witness_count"]
+
+
+def test_witness_cap_zero_renyi_star_min_with_counterexamples(monkeypatch):
+    # below alpha 2 only the 4 star-test failures are solved
+    assert renyi_star_min_all_below_the_star(monkeypatch, 1.5) == 4
+
+
+def test_renyi_star_min_above_alpha_two_solves_every_class(monkeypatch):
+    assert renyi_star_min_all_below_the_star(monkeypatch, 3.0) == 21
 
 
 def test_witness_cap_zero_tree_extremes_with_counterexamples(monkeypatch):
@@ -692,16 +876,17 @@ def test_spectral_engines_share_one_solve_per_block(monkeypatch):
         alone.append(without_runtime(engine()))
     clear_census()
     calls = counting_stacked_solves(monkeypatch)
-    together = [without_runtime(SPECTRAL_ENGINES[0]())]
-    first = list(calls)
-    together += [without_runtime(engine()) for engine in SPECTRAL_ENGINES[1:]]
+    together = [without_runtime(engine()) for engine in SPECTRAL_ENGINES]
     assert together == alone
-    # the first engine solved each block once, over its classes with an edge;
-    # the later ones solve no block, and coentropy_search makes one stacked
-    # solve of its 115 run members
+    # the two star scans solve only each block's star-test failures, one call
+    # per block; renyi-max, the first engine to read the census spectra,
+    # solved each block once, over its classes with an edge; the later ones
+    # solve no block, and coentropy_search makes one stacked solve of its 115
+    # run members
+    failures = [len(rows) for rows, _ in verify._star_blocks(7, 1)]
     edged = [int(block.rows.any(axis=1).sum()) for block in census(7)]
-    assert first == edged and len(edged) == 2
-    assert calls == first + [115]
+    assert failures == [16, 0] and len(edged) == 2
+    assert calls == failures + failures + edged + [115]
 
 
 def test_a_scan_that_raises_keeps_no_spectra(monkeypatch):
