@@ -328,7 +328,10 @@ def _star_blocks(
     A kept order (n <= ``CENSUS_KEPT``) filters its census blocks. A larger
     one, to ``CENSUS_MAX``, filters the blocks of one walk from K_1 in this
     process, whatever ``workers`` is, that skips every subtree ``_star_keep``
-    proves free of failures. An order above ``CENSUS_MAX`` raises ValueError
+    proves free of failures. The walk would beat building a kept order from
+    cold too, but the other census engines of a process build and keep that
+    order anyway, and filtering it costs far less than a walk on every star
+    call. An order above ``CENSUS_MAX`` raises ValueError
     before anything is walked. Given a ``target``, every class that passes
     must have H_2 above it by more than EPS, read from the ceilings before
     anything is walked (TheoremViolation if not): a scan that skips the
@@ -398,10 +401,12 @@ def _star_min_scan(
     With ``certified`` (measure(G) >= H_2(G) for every G) only the star-test
     failures are measured, one ``density_spectra`` call per block of
     ``_star_blocks``; at n = 2, where K_2 ties the test, and otherwise every
-    connected class's kept census spectra are read (``_measured``).
+    connected class's kept census spectra are read (``_measured``), and the
+    classes it reads are counted rather than taken from ``CONNECTED_CLASSES``.
     """
     t0 = time.perf_counter()
-    if certified and n > 2:
+    certified = certified and n > 2
+    if certified:
         blocks = (
             (words, np.array([measure(v) for v in density_spectra(rows).tolist()], dtype=float))
             for rows, words in _star_blocks(n, workers, target)
@@ -409,11 +414,13 @@ def _star_min_scan(
     else:
         blocks = ((words, values) for _, words, values in _measured(n, workers, measure))
     extremes = _Extremes()
+    read = 0
     for words, values in blocks:
+        read += len(words)
         extremes.offer(values, words)
         found.add(words[values < target - EPS])
     stats = {
-        "classes": CONNECTED_CLASSES[n],
+        "classes": CONNECTED_CLASSES[n] if certified else read,
         **params,
         "min_entropy": extremes.best(),
         "star_entropy": target,

@@ -6,7 +6,9 @@ for reference but not asserted, so slow hardware cannot flip a verdict.
 
 Criterion 1 reaches n = 9 and 10 in about a second: the star-test failures
 there come from a walk that skips every subtree the degree bounds certify,
-and the totals from the table of connected-class counts.
+and the totals from the table of connected-class counts. tests/test_verify.py
+checks that table and those failures against a census scan: at n <= 8 always,
+at n = 9 when GEL_STRETCH is 9 or 10, and at n = 10 when it is 10.
 """
 
 import math

@@ -1,5 +1,6 @@
 import __future__
 import dataclasses
+import functools
 import importlib
 import inspect
 import itertools
@@ -75,7 +76,7 @@ from _oracles import (
 # star-test failure counts over connected graphs, by order
 FAILURE_ROWS = {
     2: (0, 1), 3: (1, 2), 4: (2, 6), 5: (4, 21), 6: (8, 112), 7: (16, 853), 8: (49, 11117),
-    9: (106, 261080),
+    9: (106, 261080), 10: (307, 11716571),
 }
 
 
@@ -134,10 +135,13 @@ def test_star_ceilings_agree_with_star_test():
 
 # --- the star-test failures without the census -------------------------------
 
-STRETCH = pytest.mark.skipif(
-    os.environ.get("GEL_STRETCH") not in ("9", "10"),
-    reason="walks the census at n = 9; set GEL_STRETCH=9 or 10",
-)
+
+def stretch(n):
+    # n = 9 runs when GEL_STRETCH is 9 or 10, n = 10 only when it is 10
+    return pytest.param(n, marks=pytest.mark.skipif(
+        os.environ.get("GEL_STRETCH") not in [str(k) for k in range(n, 11)],
+        reason=f"walks the census at n = {n}; set GEL_STRETCH={n}",
+    ))
 
 
 def star_failures(n):
@@ -149,23 +153,40 @@ def star_failures(n):
     return rows, words
 
 
-def test_connected_class_counts_match_the_census():
-    for n in range(1, 9):
-        assert verify.CONNECTED_CLASSES[n] == sum(int(b.connected.sum()) for b in census(n))
+@functools.cache
+def census_classes_and_failures(n):
+    # one pass of the census at n, kept or streamed: its connected classes,
+    # and the (rows, words) of those whose sum of squared degrees exceeds the
+    # star ceiling of their edge count, in census order
+    ceilings = verify._star_ceilings(n)
+    classes, rows, words = 0, [], []
+    for block in census(n):
+        conn_rows, conn_words = block.rows[block.connected], block.graph6[block.connected]
+        degs = np.bitwise_count(conn_rows).astype(np.int64)
+        fail = (degs * degs).sum(axis=1) > ceilings[degs.sum(axis=1) // 2]
+        classes += len(conn_words)
+        rows += conn_rows[fail].tolist()
+        words += conn_words[fail].tolist()
+    return classes, (rows, words)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), stretch(9), stretch(10)])
+def test_connected_class_counts_match_the_census(n):
+    assert verify.CONNECTED_CLASSES[n] == census_classes_and_failures(n)[0]
 
 
 def walk_gives_the_census_failures(monkeypatch, n):
-    # from the census (a kept order at n <= 8, a stream at n = 9), then from
-    # the degree-bounded walk: the same rows and words, in the same order?
-    monkeypatch.setattr(verify, "CENSUS_KEPT", n)
-    want = star_failures(n)
-    assert len(want[1]) == FAILURE_ROWS[n][0]
+    # the degree-bounded walk, even at a kept order, against the census:
+    # the same rows and words, in the same order?
     monkeypatch.setattr(verify, "CENSUS_KEPT", n - 1)
-    return star_failures(n) == want
+    return star_failures(n) == census_classes_and_failures(n)[1]
 
 
-@pytest.mark.parametrize("n", [*range(3, 9), pytest.param(9, marks=STRETCH)])
+@pytest.mark.parametrize("n", [*range(3, 9), stretch(9), stretch(10)])
 def test_bounded_walk_gives_the_census_failures_in_order(monkeypatch, n):
+    want = census_classes_and_failures(n)[1]
+    assert len(want[1]) == FAILURE_ROWS[n][0]
+    assert star_failures(n) == want  # the census filtered at a kept order, the walk above
     assert walk_gives_the_census_failures(monkeypatch, n)
 
 
@@ -320,6 +341,14 @@ def test_star_min_von_neumann_holds_small_orders():
         assert canon_g6(star(n)) in res.extremal_graphs
         assert res.stats["min_entropy"] >= res.stats["star_entropy"] - 1e-9
         assert res.stats["star_entropy"] == pytest.approx(star_entropy_closed(n), abs=1e-12)
+
+
+def test_measured_star_scans_count_the_classes_they_read(monkeypatch):
+    # alpha > 2 and n = 2 read every connected class: the count is the scan's
+    monkeypatch.setattr(verify, "CONNECTED_CLASSES", (0,) * 11)
+    assert verify_star_min_von_neumann(2).stats["classes"] == 1
+    for n in range(2, 8):
+        assert verify_renyi_star_min(n, 3.0).stats["classes"] == FAILURE_ROWS[n][1]
 
 
 def test_star_min_rejects_bad_order():
