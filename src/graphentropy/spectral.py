@@ -14,7 +14,9 @@ times the norm, eigenvalue sum equal to the trace). ``density_spectrum``
 runs the same checks in their exact form on the int64 Laplacian and calls
 the LAPACK gufunc under ``np.linalg.eigvalsh`` directly, so its trace check
 also catches the NaN a failed solve returns. ``density_spectra`` runs the
-row range, loops, symmetry and the trace once per stacked block.
+row range, loops, symmetry and the trace once per stacked block. Both solves
+check the eigenvalue sum against d_G within n*DEFAULT_TOL*sqrt(sum d_i^2 + d_G),
+the Frobenius norm of L from the integer degrees.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
     ``rows`` is a (B, n) array of adjacency bitmasks, one graph per row (a
     census block's ``rows``). Returns a (B, n) array whose row i equals
     ``density_spectrum`` of graph i, bit for bit, with the same tolerance
-    policy and errors. Rows that ``Graph`` would reject (a bit at a column
-    >= n, a loop, an asymmetric pair) raise ValueError (``_row_bits``). The
+    policy, trace scale and errors. Rows that ``Graph`` would reject (a bit at
+    a column >= n, a loop, an asymmetric pair) raise ValueError (``_row_bits``). The
     Laplacian's off-diagonal zeros must be +0.0: with -0.0 the stacked
     eigensolve drifts in the last bits.
     """
@@ -119,7 +121,7 @@ def density_spectra(rows: np.ndarray) -> np.ndarray:
     if not d.all():
         raise ValueError("density matrix undefined: a graph has no edges")
     w = np.linalg.eigvalsh(lap)  # ascending per row
-    scale = np.maximum(1.0, np.linalg.norm(lap, axis=(1, 2)))
+    scale = np.sqrt((degrees * degrees).sum(axis=1) + d)  # as density_spectrum's
     if np.any(np.abs(w.sum(axis=1) - d) > n * DEFAULT_TOL * scale):
         raise ArithmeticError("eigenvalue sum drifted from the trace")
     vals = w[:, ::-1] / d[:, None]

@@ -4,9 +4,10 @@ The graph engines fold over the census of one order n (kept orders are
 walked once per process, whatever the order of the calls), the tree engine
 over blocks of the tree generator (``_tree_blocks``); each checks one claim
 and returns a ``VerificationResult``. The star scans (star-min-S, table1 and
-renyi-star-min for 1 < alpha < 2) fold over the star-test failures only
-(``_star_blocks``): a class that passes has H_alpha >= H_2 >= S(star), with
-room to spare, so it is never a witness or a tie of the minimum. At a kept
+renyi-star-min for 1 < alpha <= 2) fold over the star-test failures only
+(``_star_blocks``): a class that passes has H_alpha >= H_2 >= S(star) >
+H_2(star), with room to spare, so it is never a witness or a tie of the
+minimum (at alpha = 2 this is certified in exact rationals). At a kept
 order they filter the census; at n = 9 and 10 they filter a walk that skips
 every subtree two proved degree bounds clear (``_star_keep``), and read the
 class totals from ``CONNECTED_CLASSES``. Every fold takes a block at a time: a
@@ -16,7 +17,9 @@ are offered a block's values and words as arrays, and one exact tr2 fold
 density spectra each census block keeps (the connected classes' through
 ``_measured``), so a kept order's spectra are solved once per process, by
 the first engine that asks; ``coentropy_search`` re-solves only its runs'
-rows. The engines that read only degrees never solve: they read int64
+rows. Every spectral fold measures a spectra array one row at a time
+(``_measure_rows``), so no Python float list of a whole block is built. The
+engines that read only degrees never solve: they read int64
 degree sums per block (``_degree_sums``), test them against per-m star and
 density tables, and compare tr2 by int64 cross-multiplication, making a
 Fraction only for a value they report. Two kinds of claim are treated
@@ -177,6 +180,13 @@ def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield block.rows[block.connected], block.graph6[block.connected]
 
 
+def _measure_rows(spectra: np.ndarray, measure: Callable[[Sequence[float]], float]) -> np.ndarray:
+    """float64 ``measure`` of each row of a spectra array, in row order. Each
+    row is made a list of Python floats only while it is measured, so no list
+    of a whole block's spectra is ever built."""
+    return np.fromiter((measure(row.tolist()) for row in spectra), dtype=float)
+
+
 def _measured(
     n: int, workers: int, measure: Callable[[Sequence[float]], float]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -184,8 +194,7 @@ def _measured(
     of each ``census`` block's connected classes, all ``edged`` for n >= 2, as
     arrays: a fold that keeps them holds no str or float object per class."""
     for block in census(n, workers=workers):
-        kept = block.spectra[block.connected[block.edged]].tolist()
-        values = np.array([measure(v) for v in kept], dtype=float)
+        values = _measure_rows(block.spectra[block.connected[block.edged]], measure)
         yield block.rows[block.connected], block.graph6[block.connected], values
 
 
@@ -202,34 +211,31 @@ def _is_star(degs: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     return (d_g == 2 * n - 2) & (degs.max(axis=1) == n - 1)
 
 
-def _tr2_at(d_g: np.ndarray, sq: np.ndarray, i: int) -> Fraction:
-    """``tr2`` of class i, (sum d_i^2 + d_G) / d_G^2: a value a scan reports."""
-    return Fraction(int(sq[i] + d_g[i]), int(d_g[i] * d_g[i]))
-
-
 def _tr2_extremes(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[int, Fraction | None, _Extremes, _Extremes]:
     """(classes, the star's tr2 or None, exact trackers of the largest and the
-    smallest tr2) over (rows, words) blocks of connected classes. Per block and
-    tracker, int64 cross-multiplication (products below 10^9 at n <= 16) moves
-    from the first class to the first class past the current one until none
-    is, then offers its ties; a Fraction is made only for that value and the star's."""
+    smallest tr2) over (rows, words) blocks of connected classes, some of
+    which may be empty. tr2 is (sum d_i^2 + d_G) / d_G^2. Per block and
+    tracker, int64 cross-multiplication (products below 10^9 at n <= 16)
+    moves from the first class to the first class past the current one until
+    none is, then offers its ties; a Fraction is made only for a tie and the star."""
     classes, star = 0, None
     trackers = _Extremes(biggest=True, eps=0), _Extremes(eps=0)
     for rows, words in blocks:
         degs, d_g, sq = _degree_sums(rows)
         classes += len(words)
-        for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
-            star = _tr2_at(d_g, sq, i)
         num, den = sq + d_g, d_g * d_g
+        for i in np.flatnonzero(_is_star(degs, d_g)).tolist():
+            star = Fraction(int(num[i]), int(den[i]))
         for extremes in trackers:
             sign = 1 if extremes.biggest else -1
-            i = 0
-            while (past := np.flatnonzero(sign * (num * den[i] - num[i] * den) > 0)).size:
-                i = int(past[0])
-            ties = num * den[i] == num[i] * den
-            extremes.offer(np.full(ties.sum(), _tr2_at(d_g, sq, i), dtype=object), words[ties])
+            at = slice(0, 1)  # the current class, a slice: an empty block moves nowhere
+            while (past := np.flatnonzero(sign * (num * den[at] - num[at] * den) > 0)).size:
+                at = slice(past[0], past[0] + 1)
+            ties = num * den[at] == num[at] * den
+            values = [Fraction(a, b) for a, b in zip(num[ties].tolist(), den[ties].tolist())]
+            extremes.offer(np.array(values, dtype=object), words[ties])
     return classes, star, *trackers
 
 
@@ -320,7 +326,7 @@ def _star_keep(n: int, ceilings: np.ndarray) -> Callable[[list[int]], bool]:
 
 
 def _star_blocks(
-    n: int, workers: int, target: float | None = None
+    n: int, workers: int, below: float | Fraction | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(rows, graph6 words) of the connected classes on n vertices that fail
     the star test, in census order, one pair per block read.
@@ -332,23 +338,22 @@ def _star_blocks(
     cold too, but the other census engines of a process build and keep that
     order anyway, and filtering it costs far less than a walk on every star
     call. An order above ``CENSUS_MAX`` raises ValueError
-    before anything is walked. Given a ``target``, every class that passes
-    must have H_2 above it by more than EPS, read from the ceilings before
-    anything is walked (TheoremViolation if not): a scan that skips the
-    passing classes then misses no witness and no tie of the minimum.
+    before anything is walked. Given ``below``, a tr2 bound set by the star,
+    every class that passes must have tr2 = (sum d_i^2 + d_G) / d_G^2 below
+    it, which the ceilings decide exactly before anything is walked
+    (TheoremViolation if not): a scan that skips the passing classes then
+    misses no witness and no tie of its extreme.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
     ceilings = _star_ceilings(n)
-    if target is not None:
-        floor = min(
-            math.log2(4 * m * m) - math.log2(c + 2 * m)  # H_2 at the ceiling of m
-            for m, c in enumerate(ceilings.tolist()) if m and c >= 0
-        )
-        if not floor - target > EPS:
+    if below is not None:  # the largest tr2 of a class that passes: at the ceiling of some m
+        ceil = enumerate(ceilings.tolist())
+        top = max(Fraction(c + 2 * m, 4 * m * m) for m, c in ceil if m and c >= 0)
+        if not top < below:  # exact for a float bound too
             raise TheoremViolation(
-                f"a class passing the star test on {n} vertices may have H_2 = {floor}, "
-                f"not above {target} by more than {EPS}"
+                f"a class passing the star test on {n} vertices may have tr2 = {top}, "
+                f"not below {below}"
             )
     if n <= CENSUS_KEPT:
         blocks = census(n, workers=workers)
@@ -400,17 +405,17 @@ def _star_min_scan(
 
     With ``certified`` (measure(G) >= H_2(G) for every G) only the star-test
     failures are measured, one ``density_spectra`` call per block of
-    ``_star_blocks``; at n = 2, where K_2 ties the test, and otherwise every
-    connected class's kept census spectra are read (``_measured``), and the
-    classes it reads are counted rather than taken from ``CONNECTED_CLASSES``.
+    ``_star_blocks``, once every class that passes is shown to have H_2 above
+    target + 1e-9 (tr2 below 2^-(target + 1e-9)); at n = 2, where K_2 ties
+    the test, and otherwise every connected class's kept census spectra are
+    read (``_measured``), and the classes it reads are counted rather than
+    taken from ``CONNECTED_CLASSES``.
     """
     t0 = time.perf_counter()
     certified = certified and n > 2
     if certified:
-        blocks = (
-            (words, np.array([measure(v) for v in density_spectra(rows).tolist()], dtype=float))
-            for rows, words in _star_blocks(n, workers, target)
-        )
+        failures = _star_blocks(n, workers, 2.0 ** -(target + EPS))
+        blocks = ((w, _measure_rows(density_spectra(rows), measure)) for rows, w in failures)
     else:
         blocks = ((words, values) for _, words, values in _measured(n, workers, measure))
     extremes = _Extremes()
@@ -487,7 +492,7 @@ def verify_tree_extremes(
     top, bottom = _Extremes(biggest=True), _Extremes()
     classes = 0
     for rows, words in _tree_blocks(n):
-        values = np.array([shannon_entropy(vals) for vals in density_spectra(rows).tolist()])
+        values = _measure_rows(density_spectra(rows), shannon_entropy)
         if classes == 0:
             path_value = float(values[0])
         ties = words[values >= path_value - EPS]  # ties or beats the path
@@ -514,7 +519,10 @@ def verify_renyi_star_min(
 
     alpha = 2 is proved with strict uniqueness and is checked in exact
     rational arithmetic (star must have strictly maximal tr2); any failure
-    raises TheoremViolation. Other alpha > 1 are open statements scanned in
+    raises TheoremViolation. For n >= 3 it reads only the star-test failures
+    (``_star_blocks``): a class that passes has H_2 >= S(star) > H_2(star),
+    certified once per n in exact rationals, and the class total comes from
+    ``CONNECTED_CLASSES``. Other alpha > 1 are open statements scanned in
     floating point; for alpha < 2, where H_alpha >= H_2, only the star-test
     failures are solved (``_star_min_scan``).
     """
@@ -537,11 +545,13 @@ def verify_renyi_star_min(
             alpha < 2,
         )
     t0 = time.perf_counter()
-    classes, star_t, most, _ = _tr2_extremes(_scan(n, workers))
+    # with K_{1,n-1}'s tr2; at n = 2 the star, K_2, ties the star test
+    blocks = _star_blocks(n, workers, Fraction(n + 2, 4 * n - 4)) if n > 2 else _scan(n, workers)
+    _, star_t, most, _ = _tr2_extremes(blocks)
     msg = f"star is not the strictly unique tr2 maximum over connected graphs on {n} vertices"
     _strict_extreme(most, star_t, msg)
     stats = {
-        "classes": classes,
+        "classes": CONNECTED_CLASSES[n],
         "alpha": 2.0,
         "star_tr2": str(star_t),
         "exact": True,
@@ -567,7 +577,7 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     classes = 0
     for block in census(n, workers=workers):  # the one engine that reads disconnected classes
         words = block.graph6[block.edged]
-        h = np.array([renyi_entropy(vals, alpha) for vals in block.spectra.tolist()])
+        h = _measure_rows(block.spectra, lambda vals: renyi_entropy(vals, alpha))
         classes += len(h)
         over = np.flatnonzero(h > bound + EPS)
         if over.size:
@@ -715,17 +725,16 @@ def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
     runs = [order[a : a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
     members = rows[order[np.repeat(sizes > 1, sizes)]]  # the runs' rows, concatenated
     spectra = itertools.chain.from_iterable(
-        density_spectra(members[i : i + CENSUS_BLOCK]).tolist()
-        for i in range(0, len(members), CENSUS_BLOCK)
+        density_spectra(members[i : i + CENSUS_BLOCK]) for i in range(0, len(members), CENSUS_BLOCK)
     )
     return [
         CoentropyGroup(float(s[run[0]]), words[run].tolist(), distinct)
         for run in runs
-        if (distinct := _distinct_spectra([next(spectra) for _ in run])) > 1
+        if (distinct := _distinct_spectra(next(spectra).tolist() for _ in run)) > 1
     ]
 
 
-def _distinct_spectra(specs: list[list[float]]) -> int:
+def _distinct_spectra(specs: Iterable[list[float]]) -> int:
     """Classes of spectra that agree entrywise within 1e-7."""
     reps: list[tuple[float, ...]] = []
     for s in specs:

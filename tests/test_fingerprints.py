@@ -7,9 +7,10 @@ census blocks derive from their rows are hashed too, and the stdout of every
 census-backed CLI command at n = 7 and n = 8, the tree stream for n = 1..16,
 the canonical bytes of trees and relabeled graphs (up to n = 16 for random
 non-forests), the stdout of tree-extremes at n = 12 and 15, and the stdout of
-star-min-S and table1 at n = 9 and 10, which read the star-test failures
-from a degree-bounded walk (the n = 9 digests were recorded on the census
-scan, the n = 10 ones on the walk). A change to
+star-min-S, table1 and renyi-star-min at alpha 2 at n = 9 and 10, which read
+the star-test failures from a degree-bounded walk (the n = 9 digests were
+recorded on the census scan, the n = 10 ones on the walk, and renyi-star-min's
+also on the sharded census scan). A change to
 the enumeration order, to the canonical search, to a fold, or to the float
 arithmetic behind them moves a digest. The n = 9 stream runs only when
 GEL_STRETCH is 9 or 10. Next to the canonical words, the oracle packs each
@@ -171,6 +172,9 @@ def test_tree_stream_fingerprint():
         ("verify renyi-star-min --n 7 --alpha 1.5", "501e4c91ec3a3a1f"),
         ("verify renyi-star-min --n 7 --alpha 2", "a786770fc7f59c23"),
         ("verify renyi-star-min --n 8 --alpha 2", "4175d2c6587c3634"),
+        ("verify renyi-star-min --n 9 --alpha 2", "ac4a3c3931c45d11"),
+        ("verify renyi-star-min --n 9 --alpha 2 --threads 2", "ac4a3c3931c45d11"),
+        ("verify renyi-star-min --n 10 --alpha 2", "6490ecfc2963b0e1"),
         ("verify renyi-star-min --n 8 --alpha 1.5", "624ee89f9e2e7e33"),
         ("verify renyi-max --n 7 --alpha 3", "7d90771865ac78fe"),
         ("verify renyi-max --n 8 --alpha 3", "4c52f5ab083106c3"),

@@ -226,3 +226,37 @@ def test_density_spectra_rejects_edgeless_row():
     with pytest.raises(ValueError):
         density_spectra(rows)
     assert density_spectra(rows[:1]).tolist() == [[1.0, 0.0, 0.0]]
+
+
+def drifting(solve, factor):
+    # ``solve`` with each Laplacian's largest eigenvalue moved by a share of
+    # the trace check's threshold n * DEFAULT_TOL * sqrt(sum d_i^2 + d_G), read
+    # from the degrees on L's diagonal: ``factor`` of it for the Laplacians of
+    # least threshold in the stack, 0.99 of it for the rest
+    def drifted(lap, *args, **kwargs):
+        w = solve(lap, *args, **kwargs)
+        degs = np.diagonal(lap, axis1=-2, axis2=-1).astype(np.int64)
+        limit = lap.shape[-1] * DEFAULT_TOL * np.sqrt((degs * degs).sum(axis=-1) + degs.sum(axis=-1))
+        w[..., -1] += limit * np.where(limit == limit.min(), factor, 0.99)
+        return w
+
+    return drifted
+
+
+@pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+def test_both_solves_check_the_trace_against_the_degree_norm(monkeypatch, factor, raises):
+    # one trace policy: an eigenvalue sum that drifts just above its own
+    # graph's threshold raises in the per-graph and in the stacked solve, even
+    # when the other graphs of the stack sit just below theirs, and one that
+    # drifts just below it raises in neither
+    rows = np.concatenate([block.rows[block.connected] for block in census(6)])
+    graphs = [Graph(6, tuple(row)) for row in rows.tolist()]
+    monkeypatch.setattr(spectral, "_eigvalsh", drifting(spectral._eigvalsh, factor))
+    monkeypatch.setattr(np.linalg, "eigvalsh", drifting(np.linalg.eigvalsh, factor))
+    solves = [lambda g=g: density_spectrum(g) for g in graphs] + [lambda: density_spectra(rows)]
+    for solve in solves:
+        if raises:
+            with pytest.raises(ArithmeticError, match="eigenvalue sum drifted from the trace"):
+                solve()
+        else:
+            solve()

@@ -287,19 +287,29 @@ def test_every_class_above_the_edge_cutoff_passes_the_star_test():
     assert denser > 10000
 
 
+def star_tied_ceilings(n, real=verify._star_ceilings):
+    # the ceiling of m = n - 1 raised to the star's own squares, n(n - 1): a
+    # class passing the star test could tie the star's tr2
+    ceilings = real(n)
+    ceilings[n - 1] = n * (n - 1)
+    return ceilings
+
+
 @pytest.mark.parametrize(
     "engine, name, target",
     [
         (lambda: verify_star_min_von_neumann(5), "star_entropy_closed", lambda n: 100.0),
         (lambda: verify_renyi_star_min(5, 1.5), "renyi_entropy", lambda vals, alpha: 100.0),
+        (lambda: verify_renyi_star_min(5, 2.0), "_star_ceilings", star_tied_ceilings),
     ],
-    ids=["star-min-S", "renyi-star-min"],
+    ids=["star-min-S", "renyi-star-min", "renyi-star-min-alpha2"],
 )
 def test_star_scans_raise_before_walking_unless_passing_classes_clear_the_target(
     monkeypatch, engine, name, target
 ):
-    # a target above the H_2 of some class that passes the star test:
-    # skipping the passing classes would not be exact
+    # a target above the H_2 of some class that passes the star test, or
+    # ceilings that let a passing class tie the star's tr2 exactly: skipping
+    # the passing classes would not be exact
     monkeypatch.setattr(verify, "census", None)
     monkeypatch.setattr(verify, "_walk", None)
     monkeypatch.setattr(verify, name, target)
@@ -450,6 +460,34 @@ def test_renyi_star_min_alpha2_raises_unless_star_is_strict(monkeypatch, picks, 
     )
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_renyi_star_min_alpha2_reads_the_star_test_failures(n):
+    # the exact fold over the failures alone gives the star, strict, with its
+    # closed-form tr2 (n + 2) / (4(n - 1)), over the class total of the table;
+    # at a kept order, the same as the fold over every connected class
+    res = verify_renyi_star_min(n, 2.0)
+    assert res.extremal_graphs == [canon_g6(star(n))] and res.stats["unique"]
+    assert res.stats["star_tr2"] == str(Fraction(n + 2, 4 * (n - 1)))
+    assert res.stats["classes"] == verify.CONNECTED_CLASSES[n]
+    if n <= enumeration.CENSUS_KEPT:
+        classes, star_t, most, _ = verify._tr2_extremes(verify._scan(n, 1))
+        assert (most.tags(), str(star_t), classes) == (
+            res.extremal_graphs, res.stats["star_tr2"], res.stats["classes"]
+        )
+
+
+def test_tr2_extremes_takes_an_empty_block():
+    # the filtered census yields blocks with no failure (at n = 7 and 8)
+    def fold(blocks):
+        classes, star_t, top, bottom = verify._tr2_extremes(blocks)
+        return classes, star_t, top.ties, bottom.ties
+
+    rows, words = next(verify._scan(5, 1))
+    empty = rows[:0], words[:0]
+    assert fold([empty, (rows, words), empty]) == fold([(rows, words)])
+    assert fold([empty]) == (0, None, [], [])
+
+
 def test_tree_extremes_validation():
     with pytest.raises(ValueError):
         verify_tree_extremes(2)
@@ -529,6 +567,18 @@ def test_renyi_max_raises_unless_only_k2_plus_isolates_is_zero(monkeypatch, valu
     monkeypatch.setattr(verify, "renyi_entropy", lambda vals, alpha: value)
     with pytest.raises(TheoremViolation, match="expected exactly K2 \\+ isolates"):
         verify_renyi_max(5, 2.0)
+
+
+def test_spectral_folds_hold_no_block_of_float_lists():
+    # with the census and its spectra warm, a scan of every class at n = 8
+    # measures one spectrum row at a time: its traced peak stays below the
+    # Python float lists of one block's spectra
+    blocks = list(census(8))
+    for block in blocks:
+        block.spectra
+    one_block = _traced_peak(lambda: blocks[0].spectra.tolist())
+    assert _traced_peak(lambda: verify_renyi_star_min(8, 3.0)) < one_block
+    assert _traced_peak(lambda: verify_renyi_max(8, 3.0)) < one_block
 
 
 def test_renyi_max_validation(monkeypatch):
