@@ -91,18 +91,16 @@ No ``Graph`` is built per class and no word travels with the rows: a
 applies, and derives from them ``graph6`` (each class's upper triangle, read
 column by column from the bits that check expanded, and all of the block's
 words made by one ``graphs._graph6_words`` call: the word ``write_graph6``
-gives the same rows), ``connected`` and ``edged``. A block solves the
-density spectra of its ``edged`` classes on first use
-(``CensusBlock.spectra``) and keeps them as long as it is kept, so the
-spectral engines share one solve per kept order and process, while the
-scans that read only degrees never solve.
+gives the same rows), ``connected`` and ``edged``. A block holds those four
+arrays and nothing else: no density spectrum is kept with the census. The
+spectral engines solve the rows they read where they read them
+(``verify._spectra``), and the scans that read only degrees never solve.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -122,7 +120,6 @@ from .graphs import (
     is_connected,
     parse_graph6,
 )
-from .spectral import density_spectra
 
 _INF = 1 << 70  # exceeds any column encoding (columns have < 64 bits)
 CANON_MAX = 16  # no canonical form above this order
@@ -636,8 +633,7 @@ class CensusBlock:
     block's words by one ``graphs._graph6_words`` call),
     ``connected[i]``, whether n - 1 ``_reach_step``s from vertex 0 reach all of
     class i, and ``edged[i]``, whether it has an edge, are derived from them.
-    All four arrays are read-only. ``spectra`` is solved on first use and then
-    lives as long as the block.
+    All four arrays are read-only, and a block holds nothing else.
     """
 
     rows: np.ndarray
@@ -657,14 +653,6 @@ class CensusBlock:
         object.__setattr__(self, "edged", rows.any(axis=1))
         for arr in (self.rows, self.connected, self.graph6, self.edged):  # shared when kept
             arr.flags.writeable = False
-
-    @cached_property
-    def spectra(self) -> np.ndarray:
-        """Read-only density spectra, one row per ``edged`` class in block
-        order, from one stacked solve, bit-identical to ``density_spectrum``."""
-        vals = density_spectra(self.rows[self.edged])
-        vals.flags.writeable = False
-        return vals
 
 
 _CENSUS: dict[int, tuple[CensusBlock, ...]] = {}
@@ -700,9 +688,9 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
     through one builder, ``_blocks``, as canonical rows only: the walk in one
     process hands it ``CENSUS_BLOCK`` adjacencies at a time, the shards one
     rows array each. Each block derives its classes' graph6 words from its
-    rows. A kept block keeps its ``spectra`` once asked for. Larger orders are
-    walked on every call and never kept. An order above ``CENSUS_MAX`` or
-    below 1 raises ValueError before anything is walked or kept.
+    rows. Larger orders are walked on every call and never kept. An order
+    above ``CENSUS_MAX`` or below 1 raises ValueError before anything is
+    walked or kept.
     """
     if n > CENSUS_MAX:
         raise ValueError(f"census order must be at most {CENSUS_MAX}, got {n}")
@@ -749,8 +737,7 @@ def census(n: int, workers: int = 1) -> Iterator[CensusBlock]:
 
 
 def clear_census() -> None:
-    """Forget every kept census and its spectra, so the next ``census`` call
-    enumerates."""
+    """Forget every kept census, so the next ``census`` call enumerates."""
     _CENSUS.clear()
 
 

@@ -13,16 +13,13 @@ every subtree two proved degree bounds clear (``_star_keep``), and read the
 class totals from ``CONNECTED_CLASSES``. Every fold takes a block at a time: a
 running extreme (``_Extremes``) and a capped witness list (``_Witnesses``)
 are offered a block's values and words as arrays, and one exact tr2 fold
-(``_tr2_extremes``) serves both H_2 scans. The spectral engines read the
-density spectra each census block keeps (the connected classes' through
-``_measured``), so a kept order's spectra are solved once per process, by
-the first engine that asks; ``coentropy_search`` re-solves only its runs'
-rows. Every spectral fold measures a spectra array one row at a time
-(``_measure_rows``), so no Python float list of a whole block is built. The
-engines that read only degrees never solve: they read int64
-degree sums per block (``_degree_sums``), test them against per-m star and
-density tables, and compare tr2 by int64 cross-multiplication, making a
-Fraction only for a value they report. Two kinds of claim are treated
+(``_tr2_extremes``) serves both H_2 scans. The census keeps no spectra: a
+spectral engine solves the rows it reads, ``SOLVE_ROWS`` per stacked call
+(``_spectra``), and measures one spectrum at a time (``_measure_rows``), so
+no block of spectra is held. The engines that read only degrees never solve:
+they read int64 degree sums per block (``_degree_sums``), test them against
+per-m star and density tables, and compare tr2 by int64 cross-multiplication,
+making a Fraction only for a value they report. Two kinds of claim are treated
 differently, on purpose:
 
 * proved statements (the H_2 tree extremes, the exact-rational star
@@ -61,7 +58,6 @@ from .entropy import (
 from .enumeration import (
     _K1,
     CANON_MAX,
-    CENSUS_BLOCK,
     CENSUS_KEPT,
     CENSUS_MAX,
     _blocks,
@@ -76,7 +72,7 @@ from .spectral import density_spectra, density_spectrum
 
 EPS = 1e-9
 DEFAULT_WITNESS_CAP = 1000
-TREE_BLOCK = 128  # trees per stacked eigensolve; 1024 raised peak RSS by 17% at n=15
+SOLVE_ROWS = 128  # rows per stacked eigensolve; 1024 raised peak RSS by 17% at n=15
 # connected classes on n vertices, n = 0..CENSUS_MAX (OEIS A001349)
 CONNECTED_CLASSES = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
@@ -180,22 +176,28 @@ def _scan(n: int, workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield block.rows[block.connected], block.graph6[block.connected]
 
 
-def _measure_rows(spectra: np.ndarray, measure: Callable[[Sequence[float]], float]) -> np.ndarray:
-    """float64 ``measure`` of each row of a spectra array, in row order. Each
-    row is made a list of Python floats only while it is measured, so no list
-    of a whole block's spectra is ever built."""
-    return np.fromiter((measure(row.tolist()) for row in spectra), dtype=float)
+def _spectra(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The density spectrum of each of these adjacency rows, in row order,
+    solved by ``density_spectra`` calls of at most ``SOLVE_ROWS`` rows."""
+    for i in range(0, len(rows), SOLVE_ROWS):
+        yield from density_spectra(rows[i : i + SOLVE_ROWS])
+
+
+def _measure_rows(rows: np.ndarray, measure: Callable[[Sequence[float]], float]) -> np.ndarray:
+    """float64 ``measure`` of each row's density spectrum (``_spectra``), in
+    row order; each spectrum is a list of Python floats only while measured."""
+    return np.fromiter((measure(row.tolist()) for row in _spectra(rows)), dtype=float)
 
 
 def _measured(
     n: int, workers: int, measure: Callable[[Sequence[float]], float]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, graph6 words, float64 ``measure`` of each kept ``spectra`` row)
-    of each ``census`` block's connected classes, all ``edged`` for n >= 2, as
+    """(rows, graph6 words, float64 ``measure`` of each density spectrum) of
+    each ``census`` block's connected classes, all with an edge for n >= 2, as
     arrays: a fold that keeps them holds no str or float object per class."""
     for block in census(n, workers=workers):
-        values = _measure_rows(block.spectra[block.connected[block.edged]], measure)
-        yield block.rows[block.connected], block.graph6[block.connected], values
+        rows = block.rows[block.connected]
+        yield rows, block.graph6[block.connected], _measure_rows(rows, measure)
 
 
 def _degree_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,18 +406,17 @@ def _star_min_scan(
     """Scan connected graphs for measure(rho(G)) < target - 1e-9 (the star's value).
 
     With ``certified`` (measure(G) >= H_2(G) for every G) only the star-test
-    failures are measured, one ``density_spectra`` call per block of
-    ``_star_blocks``, once every class that passes is shown to have H_2 above
-    target + 1e-9 (tr2 below 2^-(target + 1e-9)); at n = 2, where K_2 ties
-    the test, and otherwise every connected class's kept census spectra are
-    read (``_measured``), and the classes it reads are counted rather than
-    taken from ``CONNECTED_CLASSES``.
+    failures (``_star_blocks``) are measured, once every class that passes is
+    shown to have H_2 above target + 1e-9 (tr2 below 2^-(target + 1e-9)); at
+    n = 2, where K_2 ties the test, and otherwise every connected class is
+    (``_measured``), and the classes it reads are counted rather than taken
+    from ``CONNECTED_CLASSES``.
     """
     t0 = time.perf_counter()
     certified = certified and n > 2
     if certified:
         failures = _star_blocks(n, workers, 2.0 ** -(target + EPS))
-        blocks = ((w, _measure_rows(density_spectra(rows), measure)) for rows, w in failures)
+        blocks = ((w, _measure_rows(rows, measure)) for rows, w in failures)
     else:
         blocks = ((words, values) for _, words, values in _measured(n, workers, measure))
     extremes = _Extremes()
@@ -436,12 +437,12 @@ def _star_min_scan(
 
 def _tree_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(uint16 adjacency rows, canonical words) of the trees on n vertices,
-    ``TREE_BLOCK`` at a time in ``enumerate_trees`` order, whose first tree is
+    ``SOLVE_ROWS`` at a time in ``enumerate_trees`` order, whose first tree is
     the path (TheoremViolation if it has a degree above 2). Each tree is
     canonicalized by one ``canonical_form`` call: WROM labels are not canonical."""
     trees = enumerate_trees(n)
     first = True
-    while block := list(itertools.islice(trees, TREE_BLOCK)):
+    while block := list(itertools.islice(trees, SOLVE_ROWS)):
         rows = np.array([g.adj for g in block], dtype=np.uint16)
         if first and np.bitwise_count(rows[0]).max() > 2:
             raise TheoremViolation(f"the first tree on {n} vertices is not the path")
@@ -492,7 +493,7 @@ def verify_tree_extremes(
     top, bottom = _Extremes(biggest=True), _Extremes()
     classes = 0
     for rows, words in _tree_blocks(n):
-        values = _measure_rows(density_spectra(rows), shannon_entropy)
+        values = _measure_rows(rows, shannon_entropy)
         if classes == 0:
             path_value = float(values[0])
         ties = words[values >= path_value - EPS]  # ties or beats the path
@@ -577,7 +578,7 @@ def verify_renyi_max(n: int, alpha: float, workers: int = 1) -> VerificationResu
     classes = 0
     for block in census(n, workers=workers):  # the one engine that reads disconnected classes
         words = block.graph6[block.edged]
-        h = _measure_rows(block.spectra, lambda vals: renyi_entropy(vals, alpha))
+        h = _measure_rows(block.rows[block.edged], lambda vals: renyi_entropy(vals, alpha))
         classes += len(h)
         over = np.flatnonzero(h > bound + EPS)
         if over.size:
@@ -713,8 +714,8 @@ def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
     kept and ordered as sorted (S, word) pairs are. A run of that order with
     every gap in S within 1e-12 (float64, not recomputed) is a candidate
     group; the members of all runs of two or more are re-solved from their
-    rows by ``density_spectra`` calls of up to ``CENSUS_BLOCK`` rows, and a
-    run is kept if some pair differs by over 1e-7 in a sorted spectrum entry.
+    rows (``_spectra``), and a run is kept if some pair differs by over 1e-7
+    in a sorted spectrum entry.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -724,9 +725,7 @@ def coentropy_search(n: int, workers: int = 1) -> list[CoentropyGroup]:
     sizes = np.diff(starts, append=len(order))
     runs = [order[a : a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
     members = rows[order[np.repeat(sizes > 1, sizes)]]  # the runs' rows, concatenated
-    spectra = itertools.chain.from_iterable(
-        density_spectra(members[i : i + CENSUS_BLOCK]) for i in range(0, len(members), CENSUS_BLOCK)
-    )
+    spectra = _spectra(members)
     return [
         CoentropyGroup(float(s[run[0]]), words[run].tolist(), distinct)
         for run in runs

@@ -30,8 +30,6 @@ from graphentropy.graphs import (
     write_graph6,
 )
 
-from graphentropy.spectral import density_spectrum
-
 from _oracles import (
     edge_mask,
     labeled_classes,
@@ -638,38 +636,33 @@ def test_census_walks_each_parent_once_in_any_call_order(monkeypatch, orders):
     assert census_digest() == "01781011a6d0e950"
 
 
-def test_census_spectra_are_kept_read_only_and_bit_identical():
+def test_census_blocks_are_read_only_and_replayed():
     clear_census()
     for n in range(1, 8):
         for block in census(n):
-            # edged is the one mask of the classes that own a spectrum row
+            # edged is the one mask of the classes with a density spectrum
             assert np.array_equal(block.edged, block.rows.any(axis=1))
-            assert len(block.spectra) == block.edged.sum()
-            words = block.graph6[block.edged].tolist()
-            assert block.spectra.shape == (len(words), n)
-            for vals, word in zip(block.spectra, words):
-                want = np.array(density_spectrum(parse_graph6(word)), dtype=np.float64)
-                assert vals.tobytes() == want.tobytes(), word
-            with pytest.raises(ValueError):
-                block.spectra[0, 0] = 0.5
+            for arr in (block.rows, block.graph6, block.connected, block.edged):
+                assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 block.edged[0] = not block.edged[0]
-        # a replay hands out the same blocks, so the spectra are not solved again
-        assert all(a.spectra is b.spectra for a, b in zip(census(n), census(n)))
+        # a replay hands out the same blocks, with the same arrays
+        assert all(a is b for a, b in zip(census(n), census(n)))
         assert all(a.edged is b.edged for a, b in zip(census(n), census(n)))
 
 
-def test_census_forgets_spectra_with_its_blocks(monkeypatch):
+def test_census_forgets_its_blocks(monkeypatch):
     clear_census()
-    kept = [block.spectra for block in census(6)]
-    assert all(a is b.spectra for a, b in zip(kept, census(6)))
+    kept = list(census(6))
+    assert all(a is b for a, b in zip(kept, census(6)))
     clear_census()
-    assert all(a is not b.spectra for a, b in zip(kept, census(6)))
-    # a streamed order keeps neither its blocks nor their spectra
+    assert all(a is not b for a, b in zip(kept, census(6)))
+    # a streamed order keeps none of its blocks
     monkeypatch.setattr(enumeration, "CENSUS_KEPT", 5)
     clear_census()
-    first = [block.spectra for block in census(6)]
-    assert all(a is not b.spectra for a, b in zip(first, census(6)))
+    first = list(census(6))
+    assert all(a is not b for a, b in zip(first, census(6)))
+    assert 6 not in enumeration._CENSUS
 
 
 def test_census_rejects_orders_above_the_bound(monkeypatch):

@@ -27,7 +27,7 @@ from graphentropy.spectral import (
     density_spectrum,
     eigenvalues_symmetric,
 )
-from graphentropy.verify import TREE_BLOCK
+from graphentropy.verify import SOLVE_ROWS
 
 from _oracles import reference_laplacian
 
@@ -198,7 +198,7 @@ def test_density_spectra_bit_identical_to_per_graph_path():
                 assert tuple(vals) == density_spectrum(parse_graph6(word))
     # the tree scan's first block at n = 13..16, stacked as it stacks them
     for n in range(13, 17):
-        trees = list(itertools.islice(enumerate_trees(n), TREE_BLOCK))
+        trees = list(itertools.islice(enumerate_trees(n), SOLVE_ROWS))
         stacked = density_spectra(np.array([t.adj for t in trees], dtype=np.uint16)).tolist()
         for vals, t in zip(stacked, trees):
             assert tuple(vals) == density_spectrum(t)

@@ -47,7 +47,7 @@ from graphentropy.graphs import (
     star,
     write_graph6,
 )
-from graphentropy.spectral import density_spectrum
+from graphentropy.spectral import density_spectra, density_spectrum
 from graphentropy import verify
 from graphentropy.verify import (
     DEFAULT_WITNESS_CAP,
@@ -570,13 +570,13 @@ def test_renyi_max_raises_unless_only_k2_plus_isolates_is_zero(monkeypatch, valu
 
 
 def test_spectral_folds_hold_no_block_of_float_lists():
-    # with the census and its spectra warm, a scan of every class at n = 8
-    # measures one spectrum row at a time: its traced peak stays below the
-    # Python float lists of one block's spectra
-    blocks = list(census(8))
-    for block in blocks:
-        block.spectra
-    one_block = _traced_peak(lambda: blocks[0].spectra.tolist())
+    # with the census warm, a scan of every class at n = 8 solves SOLVE_ROWS
+    # rows at a time and measures one spectrum row at a time: its traced peak,
+    # solves included, stays below the Python float lists of one block's
+    # spectra
+    block = list(census(8))[0]  # the whole walk, so the order is kept
+    spectra = density_spectra(block.rows[block.edged])
+    one_block = _traced_peak(lambda: spectra.tolist())
     assert _traced_peak(lambda: verify_renyi_star_min(8, 3.0)) < one_block
     assert _traced_peak(lambda: verify_renyi_max(8, 3.0)) < one_block
 
@@ -769,10 +769,8 @@ def coentropy_the_old_way(n, workers):
     pairs = sorted(
         (shannon_entropy(vals), word)
         for block in census(n, workers=workers)
-        for vals, word in zip(
-            block.spectra[block.connected[block.edged]].tolist(),
-            block.graph6[block.connected].tolist(),
-        )
+        for word in block.graph6[block.connected].tolist()
+        for vals in [density_spectrum(parse_graph6(word))]
     )
     groups = []
     i = 0
@@ -811,10 +809,9 @@ def test_coentropy_joins_a_gap_of_exactly_1e_12(monkeypatch):
     # by S, then word
     monkeypatch.setattr(verify, "shannon_entropy", lambda vals: 0.0 if vals[0] < 0.3 else 1e-12)
     classes = [
-        (0.0 if vals[0] < 0.3 else 1e-12, word)
-        for block in census(5)
-        for vals, word in zip(block.spectra.tolist(), block.graph6[block.edged].tolist())
-        if is_connected(parse_graph6(word))
+        (0.0 if density_spectrum(g)[0] < 0.3 else 1e-12, word)
+        for word in (w for block in census(5) for w in block.graph6.tolist())
+        if is_connected(g := parse_graph6(word))
     ]
     assert len(classes) == 21 and len({s for s, _ in classes}) == 2
     (group,) = coentropy_search(5)
@@ -918,7 +915,7 @@ def test_block_params_match_the_per_graph_functions():
     assert connected == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 11117
 
 
-# --- kept census spectra ----------------------------------------------------------
+# --- spectra solved where they are read ------------------------------------------
 
 SPECTRAL_ENGINES = [
     lambda: verify_star_min_von_neumann(7),
@@ -937,18 +934,43 @@ def without_runtime(result):
 
 def counting_stacked_solves(monkeypatch):
     calls = []
-    real = enumeration.density_spectra
+    real = verify.density_spectra
 
     def counted(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(enumeration, "density_spectra", counted)
     monkeypatch.setattr(verify, "density_spectra", counted)
     return calls
 
 
-def test_spectral_engines_share_one_solve_per_block(monkeypatch):
+def solve_slices(counts):
+    # the sizes of the density_spectra calls _spectra makes for these row counts
+    sizes = []
+    for rows in counts:
+        full, rest = divmod(rows, verify.SOLVE_ROWS)
+        sizes += [verify.SOLVE_ROWS] * full + [rest] * (rest > 0)
+    return sizes
+
+
+def test_spectra_are_bit_identical_to_density_spectrum():
+    # every census class with an edge at n <= 7, through the slices the
+    # engines solve; n = 1 gives the empty input, n = 7's 1023 + 20 rows
+    # lengths that are no multiple of SOLVE_ROWS
+    lengths = []
+    for n in range(1, 8):
+        for block in census(n):
+            spectra = list(verify._spectra(block.rows[block.edged]))
+            words = block.graph6[block.edged].tolist()
+            assert len(spectra) == len(words)
+            lengths.append(len(words))
+            for vals, word in zip(spectra, words):
+                want = np.array(density_spectrum(parse_graph6(word)), dtype=np.float64)
+                assert vals.tobytes() == want.tobytes(), word
+    assert 0 in lengths and 1023 in lengths and 1023 % verify.SOLVE_ROWS
+
+
+def test_spectral_engines_solve_what_they_read_in_slices(monkeypatch):
     alone = []
     for engine in SPECTRAL_ENGINES:
         clear_census()
@@ -957,15 +979,64 @@ def test_spectral_engines_share_one_solve_per_block(monkeypatch):
     calls = counting_stacked_solves(monkeypatch)
     together = [without_runtime(engine()) for engine in SPECTRAL_ENGINES]
     assert together == alone
-    # the two star scans solve only each block's star-test failures, one call
-    # per block; renyi-max, the first engine to read the census spectra,
-    # solved each block once, over its classes with an edge; the later ones
-    # solve no block, and coentropy_search makes one stacked solve of its 115
-    # run members
+    # each engine solves the rows it reads, SOLVE_ROWS at a time, and no
+    # engine reuses another's: the two star scans solve the star-test
+    # failures of the first block (none in the second), renyi-max the
+    # classes with an edge, coentropy_search the connected classes and then
+    # its 115 run members, and param_comparability the connected classes
     failures = [len(rows) for rows, _ in verify._star_blocks(7, 1)]
-    edged = [int(block.rows.any(axis=1).sum()) for block in census(7)]
+    edged = [int(block.edged.sum()) for block in census(7)]
+    connected = [int(block.connected.sum()) for block in census(7)]
     assert failures == [16, 0] and len(edged) == 2
-    assert calls == failures + failures + edged + [115]
+    assert calls == (
+        2 * solve_slices(failures)
+        + solve_slices(edged)
+        + solve_slices(connected)
+        + [115]
+        + solve_slices(connected)
+    )
+
+
+def test_spectral_engines_solve_at_most_solve_rows_per_call(monkeypatch):
+    calls = counting_stacked_solves(monkeypatch)
+    connected = verify.CONNECTED_CLASSES[8]
+    failures = sum(len(rows) for rows, _ in verify._star_blocks(8, 1))
+    scans = [
+        (lambda: verify_star_min_von_neumann(8), failures),
+        (lambda: verify_renyi_star_min(8, 1.5), failures),
+        (lambda: verify_renyi_star_min(8, 3.0), connected),
+        (lambda: verify_renyi_max(8, 3.0), 12345),  # every class but the edgeless one
+        (lambda: param_comparability(8, "diameter"), connected),
+        # from an empty census, two workers shard the walk
+        (lambda: (clear_census(), param_comparability(8, "diameter", workers=2)), connected),
+        (lambda: verify_tree_extremes(12), 551),
+    ]
+    for scan, rows in scans:
+        calls.clear()
+        scan()
+        assert sum(calls) == rows
+        assert max(calls) <= verify.SOLVE_ROWS
+    calls.clear()
+    coentropy_search(8)  # the connected classes, then its 1617 run members
+    assert sum(calls) == connected + 1617 and max(calls) <= verify.SOLVE_ROWS
+
+
+def test_coentropy_peaks_near_one_stacked_solve():
+    # with the census warm, coentropy_search(8) holds its column fold and one
+    # SOLVE_ROWS slice of spectra at a time, not a block of them
+    rows = np.concatenate([block.rows[block.connected] for block in census(8)])[:1024]
+    one_solve = _traced_peak(lambda: density_spectra(rows))
+    assert _traced_peak(lambda: coentropy_search(8)) <= 1.2 * one_solve
+
+
+def test_spectral_engines_keep_nothing_with_the_census():
+    clear_census()
+    for engine in SPECTRAL_ENGINES:
+        engine()
+    assert 7 in enumeration._CENSUS
+    for blocks in enumeration._CENSUS.values():
+        for block in blocks:
+            assert sorted(vars(block)) == ["connected", "edged", "graph6", "rows"]
 
 
 def test_a_scan_that_raises_keeps_no_spectra(monkeypatch):
@@ -979,10 +1050,10 @@ def test_a_scan_that_raises_keeps_no_spectra(monkeypatch):
     monkeypatch.setattr(verify, "shannon_entropy", fail)
     with pytest.raises(RuntimeError):
         verify_star_min_von_neumann(7)
-    assert len(calls) == 1 and 7 not in enumeration._CENSUS
+    assert calls == [16] and 7 not in enumeration._CENSUS
     monkeypatch.setattr(verify, "shannon_entropy", real)
     verify_star_min_von_neumann(7)  # enumerates and solves afresh
-    assert len(calls) == 3 and 7 in enumeration._CENSUS
+    assert calls == [16, 16] and 7 in enumeration._CENSUS
 
 
 # --- density test implication ------------------------------------------------------
@@ -1108,7 +1179,7 @@ def test_every_scan_offers_and_adds_once_per_block(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     blocks = len(list(census(7)))  # 1044 classes
-    trees = -(-551 // verify.TREE_BLOCK)  # trees on 12 vertices
+    trees = -(-551 // verify.SOLVE_ROWS)  # trees on 12 vertices
     scans = [
         (lambda: verify_star_min_von_neumann(7), blocks, blocks),
         (lambda: verify_renyi_star_min(7, 1.5), blocks, blocks),
