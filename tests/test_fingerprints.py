@@ -10,11 +10,12 @@ non-forests), the stdout of tree-extremes at n = 12 and 15, and the stdout of
 star-min-S, table1 and renyi-star-min at alpha 2 at n = 9 and 10, which read
 the star-test failures from a degree-bounded walk (the n = 9 digests were
 recorded on the census scan, the n = 10 ones on the walk, and renyi-star-min's
-also on the sharded census scan). A change to
+also on the sharded census scan), and of param-compare at n = 9. A change to
 the enumeration order, to the canonical search, to a fold, or to the float
-arithmetic behind them moves a digest. The n = 9 stream runs only when
-GEL_STRETCH is 9 or 10. Next to the canonical words, the oracle packs each
-ordering the search chose bit by bit, so a word must also be its ordering's.
+arithmetic behind them moves a digest. The n = 9 stream and param-compare run
+only when GEL_STRETCH is 9 or 10. Next to the canonical words, the oracle
+packs each ordering the search chose bit by bit, so a word must also be its
+ordering's.
 """
 
 import hashlib
@@ -210,3 +211,15 @@ def test_cli_stdout_fingerprint(capsys, argv, expected):
         clear_census()  # so the census is sharded, not replayed
     main(argv.split())
     assert digest(capsys.readouterr().out) == expected
+
+
+@pytest.mark.skipif(
+    os.environ.get("GEL_STRETCH") not in ("9", "10"),
+    reason="15-30 s of generation per run; set GEL_STRETCH=9 or 10",
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_param_compare_fingerprint_order_9(capsys, threads):
+    clear_census()  # one walk, or the sharded one, not a replay
+    main(["verify", "param-compare", "--n", "9", "--param", "max_degree", "--threads", threads])
+    assert digest(capsys.readouterr().out) == "c223bbcff3d50aea"
+    clear_census()  # the order-9 census is not kept for the tests after

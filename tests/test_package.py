@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -25,8 +26,7 @@ def test_all_names_are_unique_and_public():
     assert not [name for name in graphentropy.__all__ if name.startswith("_")]
 
 
-def test_import_leaves_networkx_unloaded():
-    code = "import sys, graphentropy; print('networkx' in sys.modules)"
+def child_stdout(code):
     # the child imports the copy under test, also when only pytest's pythonpath finds it
     src = str(Path(graphentropy.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
@@ -34,7 +34,36 @@ def test_import_leaves_networkx_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, graphentropy; print('networkx' in sys.modules)"
+    assert child_stdout(code) == "False"
+
+
+def test_claim_engines_leave_numpy_ma_unloaded():
+    # numpy.ma costs 1.2 MB of RSS and is imported lazily by some numpy
+    # calls (np.unique among them); no claim engine may pull it in
+    code = """
+        import sys, graphentropy as ge
+        for param in ("diameter", "matching", "max_degree"):
+            ge.param_comparability(6, param)
+        ge.param_comparability(6, "diameter", workers=2)
+        ge.coentropy_search(6)
+        ge.verify_renyi_max(6, 3.0)
+        ge.verify_density_implies_star(6)
+        ge.edge_add_decrease_search(6)
+        ge.verify_star_min_von_neumann(6)
+        ge.verify_renyi_star_min(6, 1.5)
+        ge.verify_renyi_star_min(6, 2.0)
+        ge.table1_row(6)
+        ge.failing_graph_properties(6)
+        ge.verify_tree_extremes(6, "S")
+        ge.verify_tree_extremes(6, "H2")
+        print("numpy.ma" in sys.modules)
+    """
+    assert child_stdout(textwrap.dedent(code)) == "False"
 
 
 def test_benchmark_traced_functions_exist():

@@ -902,6 +902,19 @@ def test_param_comparability_matches_pair_loop(n, param):
         assert (got.drop_count, got.rise_count) == (drop_count, rise_count)
 
 
+def test_param_fold_holds_narrow_columns():
+    # with the census warm, param_comparability(8, ...) peaks below eleven
+    # float64 columns of the 11117 connected classes (955 KiB). Holding the
+    # parameter as int64, the words as str, two key columns and a Python int
+    # per class with a count took 1.3-1.4 MB. numpy.ma is imported first, so a
+    # lazy import inside the fold is not what this measures.
+    importlib.import_module("numpy.ma")
+    list(census(8))
+    bound = 11 * 8 * verify.CONNECTED_CLASSES[8]
+    for param in ("diameter", "max_degree"):
+        assert _traced_peak(lambda: param_comparability(8, param)) < bound
+
+
 def test_block_params_match_the_per_graph_functions():
     # param_comparability reads diameter and max degree per census block
     connected = 0
